@@ -91,26 +91,17 @@ func main() {
 // replayState is the maintained pipeline state the CollectionSource serves
 // node selection from.
 type replayState struct {
-	col    *diffusion.RRCollection
-	widths []int64
-	seed   uint64
+	col  *diffusion.RRCollection
+	seed uint64
 }
 
 // NodeSelectionSets implements tim.CollectionSource over the maintained
 // collection, extending it when θ outgrows it.
 func (s *replayState) NodeSelectionSets(ctx context.Context, g *graph.Graph, model diffusion.Model, theta int64, workers int) (*diffusion.RRCollection, error) {
-	if int64(s.col.Count()) < theta {
-		tail, err := diffusion.ExtendCollection(ctx, g, model, s.col, theta, s.seed, workers, nil)
-		if err != nil {
-			return nil, err
-		}
-		s.widths = append(s.widths, tail...)
+	if err := diffusion.ExtendCollection(ctx, g, model, s.col, theta, s.seed, workers); err != nil {
+		return nil, err
 	}
-	var total int64
-	for _, w := range s.widths[:theta] {
-		total += w
-	}
-	return s.col.Prefix(int(theta), total), nil
+	return s.col.Prefix(int(theta)), nil
 }
 
 func run(cfg config) error {
@@ -188,7 +179,7 @@ func run(cfg config) error {
 		}
 
 		t0 := time.Now()
-		newCol, newWidths, stats, err := evolve.Repair(ctx, newSnap, model, state.col, state.widths, delta, state.seed, cfg.workers)
+		newCol, stats, err := evolve.Repair(ctx, newSnap, model, state.col, delta, state.seed, cfg.workers)
 		if err != nil {
 			return fmt.Errorf("batch %d: repair: %w", step+1, err)
 		}
@@ -196,7 +187,7 @@ func run(cfg config) error {
 		repairMs = append(repairMs, ms)
 		repairedTot += stats.Repaired
 		keptTot += stats.Reused
-		state.col, state.widths = newCol, newWidths
+		state.col = newCol
 		snap, version = newSnap, newVersion
 
 		if cfg.trace {
@@ -215,13 +206,12 @@ func run(cfg config) error {
 		if cfg.coldEvery > 0 && (step+1)%cfg.coldEvery == 0 {
 			t1 := time.Now()
 			cold := &diffusion.RRCollection{Off: []int64{0}}
-			coldWidths, err := diffusion.ExtendCollection(ctx, snap, model, cold, int64(state.col.Count()), state.seed, cfg.workers, nil)
-			if err != nil {
+			if err := diffusion.ExtendCollection(ctx, snap, model, cold, int64(state.col.Count()), state.seed, cfg.workers); err != nil {
 				return err
 			}
 			cms := float64(time.Since(t1).Microseconds()) / 1000
 			coldMs = append(coldMs, cms)
-			if err := compareCollections(state.col, cold, state.widths, coldWidths); err != nil {
+			if err := compareCollections(state.col, cold); err != nil {
 				return fmt.Errorf("batch %d: repaired collection diverged from cold sample: %w", step+1, err)
 			}
 			coldChecks++
@@ -280,7 +270,7 @@ func retrace(g *graph.Graph, model diffusion.Model, state *replayState, old *dif
 			continue
 		}
 		base.SplitInto(uint64(i), &stream)
-		buf, tbuf, _ = sampler.SampleTraced(&stream, buf[:0], tbuf[:0])
+		buf, tbuf = sampler.SampleTraced(&stream, buf[:0], tbuf[:0])
 		out.Append(tbuf)
 	}
 	return out
@@ -441,10 +431,10 @@ func parseStream(path string, n int) ([]evolve.Batch, error) {
 
 // compareCollections reports the first divergence between a repaired and
 // a cold-sampled collection.
-func compareCollections(got, want *diffusion.RRCollection, gotW, wantW []int64) error {
-	if got.Count() != want.Count() || got.TotalWidth != want.TotalWidth {
-		return fmt.Errorf("shape: %d sets width %d vs %d sets width %d",
-			got.Count(), got.TotalWidth, want.Count(), want.TotalWidth)
+func compareCollections(got, want *diffusion.RRCollection) error {
+	if got.Count() != want.Count() || got.TotalNodes() != want.TotalNodes() {
+		return fmt.Errorf("shape: %d sets of %d nodes vs %d sets of %d nodes",
+			got.Count(), got.TotalNodes(), want.Count(), want.TotalNodes())
 	}
 	for i := range want.Off {
 		if got.Off[i] != want.Off[i] {
@@ -454,11 +444,6 @@ func compareCollections(got, want *diffusion.RRCollection, gotW, wantW []int64) 
 	for i := range want.Flat {
 		if got.Flat[i] != want.Flat[i] {
 			return fmt.Errorf("member %d: %d vs %d", i, got.Flat[i], want.Flat[i])
-		}
-	}
-	for i := range wantW {
-		if gotW[i] != wantW[i] {
-			return fmt.Errorf("width %d: %d vs %d", i, gotW[i], wantW[i])
 		}
 	}
 	return nil

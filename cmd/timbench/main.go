@@ -2,10 +2,9 @@
 // query pipeline. It times the two halves of a large-θ query — RR-set
 // sampling and node selection (inverted-index build + greedy cover +
 // coverage counting) — at Workers=1 and at full parallelism, tracks peak
-// RR memory during sampling (zero-copy arena vs the pre-PR merge-based
-// layout), verifies that every run is bit-identical, and writes the
-// results as machine-readable BENCH.json so CI can archive a perf
-// trajectory instead of anecdotes.
+// RR memory during sampling, verifies that every run is bit-identical,
+// and writes the results as machine-readable BENCH.json so CI can
+// archive a perf trajectory instead of anecdotes.
 //
 // Example:
 //
@@ -48,9 +47,11 @@ type BenchFile struct {
 	Runs []BenchRun `json:"runs"`
 	// Speedup is Runs[0] time / best parallel time, per phase.
 	Speedup BenchSpeedup `json:"speedup"`
-	// Memory contrasts peak heap growth during sampling under the
-	// zero-copy layout against the merge-based baseline layout.
-	Memory BenchMemory `json:"memory"`
+	// Memory held the retired comparison of the zero-copy sampler's peak
+	// against the pre-zero-copy merge layout. New files omit it; the
+	// field stays so that baselines recorded with it (BENCH_0001.json,
+	// BENCH_0002.json) still pass the strict schema check.
+	Memory json.RawMessage `json:"memory,omitempty"`
 	// OutOfCore times the spill tier's demote (WriteSpill) and promote
 	// (ReadSpill) halves over the sampled collection. Optional — older
 	// baselines without it stay schema-valid and are simply not compared
@@ -109,13 +110,6 @@ type BenchSpeedup struct {
 	Sample float64 `json:"sample"`
 	Select float64 `json:"select"`
 	Total  float64 `json:"total"`
-}
-
-// BenchMemory is the sampling peak-memory comparison.
-type BenchMemory struct {
-	ZeroCopyPeakBytes      int64   `json:"zero_copy_peak_bytes"`
-	MergeBaselinePeakBytes int64   `json:"merge_baseline_peak_bytes"`
-	Reduction              float64 `json:"reduction"`
 }
 
 func main() {
@@ -215,30 +209,6 @@ func run(n, m int, modelName string, theta int64, k int, seed uint64, workers in
 		Total:  ratio(base.TotalNs, best.TotalNs),
 	}
 
-	// Peak-memory contrast: sample θ sets through the zero-copy path and
-	// through the pre-PR merge layout (per-worker private parts
-	// concatenated into a fresh arena), both at full parallelism. The
-	// baseline draws the same per-index keyed streams, so both runs hold
-	// identical output bytes — the arena hashes are cross-checked below
-	// and the comparison is workload-for-workload.
-	var zeroHash, mergeHash uint64
-	zero := peakDuring(func() {
-		col := diffusion.SampleCollection(g, model, theta, diffusion.SampleOptions{Workers: workers, Seed: seed + 99})
-		zeroHash = arenaHash(col)
-	})
-	merge := peakDuring(func() {
-		col := sampleMergeBaseline(g, model, theta, seed+99, workers)
-		mergeHash = arenaHash(col)
-	})
-	if zeroHash != mergeHash {
-		return fmt.Errorf("merge baseline diverged from the zero-copy sampler: the memory comparison would be comparing different workloads")
-	}
-	file.Memory = BenchMemory{
-		ZeroCopyPeakBytes:      zero,
-		MergeBaselinePeakBytes: merge,
-		Reduction:              1 - float64(zero)/float64(merge),
-	}
-
 	ooc, err := benchOutOfCore(g, model, theta, seed, workers)
 	if err != nil {
 		return err
@@ -253,9 +223,8 @@ func run(n, m int, modelName string, theta int64, k int, seed uint64, workers in
 	if err := os.WriteFile(out, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("timbench: θ=%d k=%d n=%d: sample ×%.2f, select ×%.2f, total ×%.2f at %d workers; sampling peak %s vs merge baseline %s (-%.0f%%)\n",
-		theta, k, n, file.Speedup.Sample, file.Speedup.Select, file.Speedup.Total, workers,
-		fmtBytes(zero), fmtBytes(merge), 100*file.Memory.Reduction)
+	fmt.Printf("timbench: θ=%d k=%d n=%d: sample ×%.2f, select ×%.2f, total ×%.2f at %d workers\n",
+		theta, k, n, file.Speedup.Sample, file.Speedup.Select, file.Speedup.Total, workers)
 	fmt.Printf("timbench: out-of-core: %s spilled in %.1fms, promoted in %.1fms (%d sets, bit-identical)\n",
 		fmtBytes(ooc.SpillBytes), float64(ooc.DemoteNs)/1e6, float64(ooc.PromoteNs)/1e6, ooc.Sets)
 	if !file.BitIdentical {
@@ -307,19 +276,6 @@ func benchOnce(g *graph.Graph, model diffusion.Model, theta int64, k int, seed u
 // business reporting a throughput number.
 func benchOutOfCore(g *graph.Graph, model diffusion.Model, theta int64, seed uint64, workers int) (*BenchOutOfCore, error) {
 	col := diffusion.SampleCollection(g, model, theta, diffusion.SampleOptions{Workers: workers, Seed: seed + 7})
-	// The format cross-checks Σwidths against the header's TotalWidth, so
-	// spread the collection's total evenly — the bench times bytes moved,
-	// the width values themselves don't matter here.
-	widths := make([]int64, col.Count())
-	if n := int64(len(widths)); n > 0 {
-		base, rem := col.TotalWidth/n, col.TotalWidth%n
-		for i := range widths {
-			widths[i] = base
-			if int64(i) < rem {
-				widths[i]++
-			}
-		}
-	}
 	dir, err := os.MkdirTemp("", "timbench-spill-*")
 	if err != nil {
 		return nil, err
@@ -329,19 +285,18 @@ func benchOutOfCore(g *graph.Graph, model diffusion.Model, theta int64, seed uin
 	hdr := diskrr.SpillHeader{Version: 1, Seed: seed + 7}
 
 	t0 := time.Now()
-	bytes, err := diskrr.WriteSpill(path, hdr, col, widths)
+	bytes, err := diskrr.WriteSpill(path, hdr, col)
 	demoteNs := time.Since(t0).Nanoseconds()
 	if err != nil {
 		return nil, fmt.Errorf("out-of-core demote: %w", err)
 	}
 	t1 := time.Now()
-	rhdr, back, rwidths, err := diskrr.ReadSpill(path)
+	rhdr, back, err := diskrr.ReadSpill(path, g.N())
 	promoteNs := time.Since(t1).Nanoseconds()
 	if err != nil {
 		return nil, fmt.Errorf("out-of-core promote: %w", err)
 	}
-	if rhdr != hdr || back.Count() != col.Count() || len(rwidths) != len(widths) ||
-		arenaHash(back) != arenaHash(col) {
+	if rhdr != hdr || back.Count() != col.Count() || arenaHash(back) != arenaHash(col) {
 		return nil, fmt.Errorf("out-of-core round trip not bit-identical")
 	}
 	return &BenchOutOfCore{
@@ -391,60 +346,6 @@ func peakDuring(fn func()) int64 {
 		return p
 	}
 	return 0
-}
-
-// sampleMergeBaseline reproduces the pre-zero-copy memory layout: each
-// worker samples its contiguous index range [lo, hi) of the *same*
-// per-index keyed streams SampleCollection draws (so the merged output
-// is bit-identical to the zero-copy run) into a private collection, and
-// the parts are then concatenated into a freshly allocated arena — the
-// parts and the merged copy are transiently live together, which is
-// exactly the 2× peak the zero-copy path removes.
-func sampleMergeBaseline(g *graph.Graph, model diffusion.Model, count int64, seed uint64, workers int) *diffusion.RRCollection {
-	if workers < 1 {
-		workers = 1
-	}
-	parts := make([]*diffusion.RRCollection, workers)
-	done := make(chan int, workers)
-	base := rng.New(seed)
-	lo := int64(0)
-	for w := 0; w < workers; w++ {
-		quota := count / int64(workers)
-		if int64(w) < count%int64(workers) {
-			quota++
-		}
-		hi := lo + quota
-		go func(w int, lo, hi int64) {
-			sampler := diffusion.NewRRSamplerConfig(g, model, diffusion.SampleConfig{})
-			col := &diffusion.RRCollection{Off: make([]int64, 1, hi-lo+1)}
-			var stream rng.Rand
-			var buf []uint32
-			for i := lo; i < hi; i++ {
-				base.SplitInto(uint64(i), &stream)
-				var width int64
-				buf, width = sampler.Sample(&stream, buf[:0])
-				col.Append(buf, width)
-			}
-			parts[w] = col
-			done <- w
-		}(w, lo, hi)
-		lo = hi
-	}
-	for i := 0; i < workers; i++ {
-		<-done
-	}
-	out := &diffusion.RRCollection{}
-	var flatLen, offLen int64
-	for _, p := range parts {
-		flatLen += int64(len(p.Flat))
-		offLen += int64(len(p.Off)) - 1
-	}
-	out.Flat = make([]uint32, 0, flatLen)
-	out.Off = make([]int64, 1, offLen+1)
-	for _, p := range parts {
-		out.Merge(p)
-	}
-	return out
 }
 
 // arenaHash is an FNV-1a digest of a collection's flat arena.
@@ -526,9 +427,6 @@ func validateFile(path string) error {
 	}
 	if len(f.Runs) > 1 && (f.Speedup.Total <= 0 || f.Speedup.Select <= 0 || f.Speedup.Sample <= 0) {
 		return fmt.Errorf("missing speedups: %+v", f.Speedup)
-	}
-	if f.Memory.ZeroCopyPeakBytes <= 0 || f.Memory.MergeBaselinePeakBytes <= 0 {
-		return fmt.Errorf("missing memory comparison: %+v", f.Memory)
 	}
 	if o := f.OutOfCore; o != nil {
 		if o.Sets <= 0 || o.SpillBytes <= 0 || o.DemoteNs <= 0 || o.PromoteNs <= 0 {

@@ -50,7 +50,6 @@ func TestCompareFiles(t *testing.T) {
 			GeneratedBy:  "timbench",
 			Config:       BenchConfig{N: n, M: 10, Model: "ic", Theta: 100, K: 5, Seed: 1, Workers: 1, Cores: 1},
 			BitIdentical: true,
-			Memory:       BenchMemory{ZeroCopyPeakBytes: 1, MergeBaselinePeakBytes: 2, Reduction: 0.5},
 			Runs: []BenchRun{{
 				Workers: 1, SampleNs: sampleNs, GreedyNs: greedyNs, CountCoveredNs: countNs,
 				SelectNs: greedyNs + countNs, TotalNs: sampleNs + greedyNs + countNs,
@@ -83,6 +82,16 @@ func TestCompareFiles(t *testing.T) {
 	}
 	if err := compareFiles(mk("othern.json", 1000, 500, 300, 999), base, 0.25); err == nil {
 		t.Fatal("mismatched instances compared")
+	}
+}
+
+// TestCommittedBaselinesValidate: the committed baselines CI compares
+// against stay schema-valid, retired memory section included.
+func TestCommittedBaselinesValidate(t *testing.T) {
+	for _, name := range []string{"BENCH_0001.json", "BENCH_0002.json"} {
+		if err := validateFile(filepath.Join("..", "..", name)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 

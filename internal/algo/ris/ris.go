@@ -125,7 +125,12 @@ func Select(g *graph.Graph, model diffusion.Model, opts Options) (*Result, error
 			Seed:    seedSeq.Uint64(),
 		})
 		col.Merge(batch)
-		cost += batch.TotalWidth + batch.TotalNodes()
+		// Borgs et al.'s stopping rule charges Σ(w(R)+|R|): the edges and
+		// nodes a generation examines.
+		cost += batch.TotalNodes()
+		for i := 0; i < batch.Count(); i++ {
+			cost += diffusion.Width(g, batch.Set(i))
+		}
 	}
 
 	cover := maxcover.GreedyWorkers(n, col, opts.K, opts.Workers)

@@ -14,8 +14,6 @@ import (
 type RRCollection struct {
 	Flat []uint32
 	Off  []int64
-	// TotalWidth is Σ w(R_i) (Equation 1), the input to EPT estimation.
-	TotalWidth int64
 }
 
 // Count returns the number of RR sets.
@@ -33,13 +31,12 @@ func (c *RRCollection) MemoryBytes() int64 {
 }
 
 // Append adds one RR set.
-func (c *RRCollection) Append(rr []uint32, width int64) {
+func (c *RRCollection) Append(rr []uint32) {
 	if len(c.Off) == 0 {
 		c.Off = append(c.Off, 0)
 	}
 	c.Flat = append(c.Flat, rr...)
 	c.Off = append(c.Off, int64(len(c.Flat)))
-	c.TotalWidth += width
 }
 
 // Merge appends all sets of other to c.
@@ -52,7 +49,6 @@ func (c *RRCollection) Merge(other *RRCollection) {
 	for _, off := range other.Off[1:] {
 		c.Off = append(c.Off, base+off)
 	}
-	c.TotalWidth += other.TotalWidth
 }
 
 // SampleOptions configures batch RR-set generation.
@@ -106,6 +102,6 @@ func SampleCollection(g *graph.Graph, model Model, count int64, opts SampleOptio
 	opts.normalize(count)
 	// A cancelled context keeps the contiguous flushed prefix: the caller
 	// asked for a best-effort partial collection, not an error.
-	_, _ = extendInto(opts.Ctx, g, model, opts.Config, out, 0, count, opts.Seed, opts.Workers, nil, true)
+	_ = extendInto(opts.Ctx, g, model, opts.Config, out, 0, count, opts.Seed, opts.Workers, true)
 	return out
 }

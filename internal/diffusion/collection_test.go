@@ -11,9 +11,9 @@ import (
 
 func TestCollectionAppend(t *testing.T) {
 	col := &RRCollection{}
-	col.Append([]uint32{1, 2, 3}, 7)
-	col.Append([]uint32{4}, 2)
-	col.Append(nil, 0)
+	col.Append([]uint32{1, 2, 3})
+	col.Append([]uint32{4})
+	col.Append(nil)
 	if col.Count() != 3 {
 		t.Fatalf("count=%d", col.Count())
 	}
@@ -26,9 +26,6 @@ func TestCollectionAppend(t *testing.T) {
 	if got := col.Set(2); len(got) != 0 {
 		t.Fatalf("set2=%v", got)
 	}
-	if col.TotalWidth != 9 {
-		t.Fatalf("width=%d", col.TotalWidth)
-	}
 	if col.TotalNodes() != 4 {
 		t.Fatalf("nodes=%d", col.TotalNodes())
 	}
@@ -39,10 +36,10 @@ func TestCollectionAppend(t *testing.T) {
 
 func TestCollectionMerge(t *testing.T) {
 	a := &RRCollection{}
-	a.Append([]uint32{1}, 1)
-	a.Append([]uint32{2, 3}, 4)
+	a.Append([]uint32{1})
+	a.Append([]uint32{2, 3})
 	b := &RRCollection{}
-	b.Append([]uint32{5}, 2)
+	b.Append([]uint32{5})
 	a.Merge(b)
 	if a.Count() != 3 {
 		t.Fatalf("count=%d", a.Count())
@@ -50,15 +47,12 @@ func TestCollectionMerge(t *testing.T) {
 	if got := a.Set(2); len(got) != 1 || got[0] != 5 {
 		t.Fatalf("merged set=%v", got)
 	}
-	if a.TotalWidth != 7 {
-		t.Fatalf("width=%d", a.TotalWidth)
-	}
 }
 
 func TestCollectionMergeIntoEmpty(t *testing.T) {
 	a := &RRCollection{}
 	b := &RRCollection{}
-	b.Append([]uint32{9, 8}, 3)
+	b.Append([]uint32{9, 8})
 	a.Merge(b)
 	if a.Count() != 1 || a.Set(0)[1] != 8 {
 		t.Fatalf("merge into empty: %+v", a)
@@ -96,7 +90,7 @@ func TestSampleCollectionDeterministicPerWorkerCount(t *testing.T) {
 	graph.AssignWeightedCascade(g)
 	a := SampleCollection(g, NewIC(), 64, SampleOptions{Workers: 4, Seed: 9})
 	b := SampleCollection(g, NewIC(), 64, SampleOptions{Workers: 4, Seed: 9})
-	if a.Count() != b.Count() || a.TotalWidth != b.TotalWidth {
+	if a.Count() != b.Count() || a.TotalNodes() != b.TotalNodes() {
 		t.Fatal("same (seed, workers) produced different collections")
 	}
 	for i := range a.Flat {
@@ -111,7 +105,7 @@ func TestSampleCollectionSeedMatters(t *testing.T) {
 	graph.AssignWeightedCascade(g)
 	a := SampleCollection(g, NewIC(), 64, SampleOptions{Workers: 2, Seed: 1})
 	b := SampleCollection(g, NewIC(), 64, SampleOptions{Workers: 2, Seed: 2})
-	same := a.TotalNodes() == b.TotalNodes() && a.TotalWidth == b.TotalWidth
+	same := a.TotalNodes() == b.TotalNodes()
 	if same {
 		diff := false
 		for i := range a.Flat {
@@ -123,19 +117,6 @@ func TestSampleCollectionSeedMatters(t *testing.T) {
 		if !diff {
 			t.Fatal("different seeds produced identical collections")
 		}
-	}
-}
-
-func TestSampleCollectionWidthsConsistent(t *testing.T) {
-	g := gen.ChungLuDirected(200, 1200, 2.4, 2.1, rng.New(4))
-	graph.AssignWeightedCascade(g)
-	col := SampleCollection(g, NewIC(), 300, SampleOptions{Workers: 1, Seed: 5})
-	var recomputed int64
-	for i := 0; i < col.Count(); i++ {
-		recomputed += Width(g, col.Set(i))
-	}
-	if recomputed != col.TotalWidth {
-		t.Fatalf("TotalWidth=%d, recomputed=%d", col.TotalWidth, recomputed)
 	}
 }
 

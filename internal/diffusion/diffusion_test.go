@@ -26,12 +26,13 @@ func TestRRSamplerICPathCertain(t *testing.T) {
 	s := NewRRSampler(g, NewIC())
 	r := rng.New(1)
 	for root := uint32(0); root < 5; root++ {
-		rr, width := s.SampleFrom(r, root, nil)
+		rr := s.SampleFrom(r, root, nil)
 		if len(rr) != int(root)+1 {
 			t.Fatalf("root %d: rr=%v", root, rr)
 		}
-		if width != Width(g, rr) {
-			t.Fatalf("root %d: width %d != recomputed %d", root, width, Width(g, rr))
+		// Equation 1: every member but node 0 has in-degree 1.
+		if w := Width(g, rr); w != int64(root) {
+			t.Fatalf("root %d: width %d, want %d", root, w, root)
 		}
 		seen := map[uint32]bool{}
 		for _, v := range rr {
@@ -50,12 +51,12 @@ func TestRRSamplerICPathImpossible(t *testing.T) {
 	g := gen.Path(5, 0)
 	s := NewRRSampler(g, NewIC())
 	r := rng.New(1)
-	rr, width := s.SampleFrom(r, 4, nil)
+	rr := s.SampleFrom(r, 4, nil)
 	if len(rr) != 1 || rr[0] != 4 {
 		t.Fatalf("rr=%v, want just the root", rr)
 	}
-	if width != 1 {
-		t.Fatalf("width=%d, want indegree(4)=1", width)
+	if w := Width(g, rr); w != 1 {
+		t.Fatalf("width=%d, want indegree(4)=1", w)
 	}
 }
 
@@ -70,7 +71,7 @@ func TestRRSamplerICFigure1Root0(t *testing.T) {
 	countV4, countV2 := 0, 0
 	var buf []uint32
 	for i := 0; i < trials; i++ {
-		buf, _ = s.SampleFrom(r, 0, buf[:0])
+		buf = s.SampleFrom(r, 0, buf[:0])
 		for _, v := range buf {
 			switch v {
 			case 3:
@@ -101,7 +102,7 @@ func TestRRSamplerMembershipImpliesReachability(t *testing.T) {
 	var buf []uint32
 	for trial := 0; trial < 300; trial++ {
 		root := uint32(r.Intn(g.N()))
-		buf, _ = s.SampleFrom(r, root, buf[:0])
+		buf = s.SampleFrom(r, root, buf[:0])
 		for _, u := range buf {
 			reach := graph.Reachable(g, []uint32{u})
 			if !reach[root] {
@@ -117,7 +118,7 @@ func TestRRSamplerLTChain(t *testing.T) {
 	g := gen.Cycle(6, 1)
 	s := NewRRSampler(g, NewLT())
 	r := rng.New(5)
-	rr, _ := s.SampleFrom(r, 0, nil)
+	rr := s.SampleFrom(r, 0, nil)
 	if len(rr) != 6 {
 		t.Fatalf("LT RR on certain cycle: %v", rr)
 	}
@@ -136,12 +137,12 @@ func TestRRSamplerLTResidualStops(t *testing.T) {
 	g := gen.InStar(5, 0)
 	s := NewRRSampler(g, NewLT())
 	r := rng.New(6)
-	rr, width := s.SampleFrom(r, 0, nil)
+	rr := s.SampleFrom(r, 0, nil)
 	if len(rr) != 1 {
 		t.Fatalf("rr=%v", rr)
 	}
-	if width != 4 {
-		t.Fatalf("width=%d, want indeg(0)=4", width)
+	if w := Width(g, rr); w != 4 {
+		t.Fatalf("width=%d, want indeg(0)=4", w)
 	}
 }
 
@@ -154,8 +155,8 @@ func TestRRSamplerDeterminism(t *testing.T) {
 		r1, r2 := rng.New(99), rng.New(99)
 		var b1, b2 []uint32
 		for i := 0; i < 50; i++ {
-			b1, _ = s1.Sample(r1, b1[:0])
-			b2, _ = s2.Sample(r2, b2[:0])
+			b1 = s1.Sample(r1, b1[:0])
+			b2 = s2.Sample(r2, b2[:0])
 			if len(b1) != len(b2) {
 				t.Fatalf("%v: sample %d sizes differ", model, i)
 			}
@@ -307,7 +308,7 @@ func TestCorollary1(t *testing.T) {
 		inS := map[uint32]bool{0: true, 7: true, 13: true}
 		var buf []uint32
 		for i := 0; i < rrTrials; i++ {
-			buf, _ = s.Sample(r, buf[:0])
+			buf = s.Sample(r, buf[:0])
 			for _, v := range buf {
 				if inS[v] {
 					covered++
@@ -363,7 +364,7 @@ func TestSelfLoopHarmless(t *testing.T) {
 		t.Fatalf("spread=%d, want 2", got)
 	}
 	s := NewRRSampler(g, NewIC())
-	rr, _ := s.SampleFrom(r, 0, nil)
+	rr := s.SampleFrom(r, 0, nil)
 	if len(rr) != 1 {
 		t.Fatalf("rr=%v, want just root despite self-loop", rr)
 	}
@@ -377,7 +378,7 @@ func BenchmarkRRSampleIC(b *testing.B) {
 	var buf []uint32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, _ = s.Sample(r, buf[:0])
+		buf = s.Sample(r, buf[:0])
 	}
 }
 
@@ -389,7 +390,7 @@ func BenchmarkRRSampleLT(b *testing.B) {
 	var buf []uint32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, _ = s.Sample(r, buf[:0])
+		buf = s.Sample(r, buf[:0])
 	}
 }
 

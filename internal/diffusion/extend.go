@@ -19,16 +19,14 @@ import (
 // reusable across queries with growing θ: a warm cache can never change
 // an answer, only skip the sampling a cold run would have done.
 //
-// The per-set widths of the newly sampled tail are appended to widths
-// (which callers maintaining prefix sums can pass as nil to discard), and
-// the extended slice is returned. Sampling parallelizes over opts.Workers
-// with zero-copy sharded writes into the collection's own arena (see
-// extendInto), so the result is independent of the worker count.
+// Sampling parallelizes over workers with zero-copy sharded writes into
+// the collection's own arena (see extendInto), so the result is
+// independent of the worker count.
 //
 // If ctx is non-nil and is cancelled mid-extension, ExtendCollection
 // stops early and returns ctx's error with the collection unchanged.
-func ExtendCollection(ctx context.Context, g *graph.Graph, model Model, col *RRCollection, total int64, seed uint64, workers int, widths []int64) ([]int64, error) {
-	return ExtendCollectionConfig(ctx, g, model, SampleConfig{}, col, total, seed, workers, widths)
+func ExtendCollection(ctx context.Context, g *graph.Graph, model Model, col *RRCollection, total int64, seed uint64, workers int) error {
+	return ExtendCollectionConfig(ctx, g, model, SampleConfig{}, col, total, seed, workers)
 }
 
 // ExtendCollectionConfig is ExtendCollection under an explicit sampling
@@ -37,41 +35,38 @@ func ExtendCollection(ctx context.Context, g *graph.Graph, model Model, col *RRC
 // roots, bounded horizon — are extendable and repairable exactly like
 // default ones, as long as every call on a collection uses the same cfg.
 // A zero cfg is bit-identical to ExtendCollection.
-func ExtendCollectionConfig(ctx context.Context, g *graph.Graph, model Model, cfg SampleConfig, col *RRCollection, total int64, seed uint64, workers int, widths []int64) ([]int64, error) {
-	if len(col.Off) == 0 {
-		col.Off = append(col.Off, 0)
-	}
-	cur := int64(col.Count())
-	if total <= cur || g.N() == 0 {
-		return widths, ctxErr(ctx)
-	}
-	opts := SampleOptions{Workers: workers}
-	opts.normalize(total - cur)
-	return extendInto(ctx, g, model, cfg, col, cur, total, seed, opts.Workers, widths, false)
+func ExtendCollectionConfig(ctx context.Context, g *graph.Graph, model Model, cfg SampleConfig, col *RRCollection, total int64, seed uint64, workers int) error {
+	return extendTo(ctx, g, model, cfg, col, total, seed, workers, false)
 }
 
 // ExtendCollectionConfigPartial is ExtendCollectionConfig except for its
 // cancellation contract: when ctx is cancelled mid-extension, the
-// contiguous flushed prefix of the tail is KEPT (its widths are appended
-// to widths as usual) and ctx's error is returned. Because set i depends
-// only on (seed, i, g, model, cfg), the kept prefix is exactly what a
-// later extension would re-derive — so deadline-bounded callers (the
-// tiered server's budgeted escalations) ratchet a shared collection
-// toward θ across deadline misses instead of rolling their sampling work
-// back. Callers must treat a non-nil error as "col may hold fewer than
-// total sets" and reconcile their own width accounting from the returned
-// slice.
-func ExtendCollectionConfigPartial(ctx context.Context, g *graph.Graph, model Model, cfg SampleConfig, col *RRCollection, total int64, seed uint64, workers int, widths []int64) ([]int64, error) {
+// contiguous flushed prefix of the tail is KEPT and ctx's error is
+// returned. Because set i depends only on (seed, i, g, model, cfg), the
+// kept prefix is exactly what a later extension would re-derive — so
+// deadline-bounded callers (the tiered server's budgeted escalations)
+// ratchet a shared collection toward θ across deadline misses instead of
+// rolling their sampling work back. Callers must treat a non-nil error as
+// "col may hold fewer than total sets" and read the kept count from
+// col.Count().
+func ExtendCollectionConfigPartial(ctx context.Context, g *graph.Graph, model Model, cfg SampleConfig, col *RRCollection, total int64, seed uint64, workers int) error {
+	return extendTo(ctx, g, model, cfg, col, total, seed, workers, true)
+}
+
+// extendTo is the shared front end of the ExtendCollection family: it
+// normalizes an empty collection and the worker count, then samples the
+// missing tail [col.Count(), total) through extendInto.
+func extendTo(ctx context.Context, g *graph.Graph, model Model, cfg SampleConfig, col *RRCollection, total int64, seed uint64, workers int, keepPartial bool) error {
 	if len(col.Off) == 0 {
 		col.Off = append(col.Off, 0)
 	}
 	cur := int64(col.Count())
 	if total <= cur || g.N() == 0 {
-		return widths, ctxErr(ctx)
+		return ctxErr(ctx)
 	}
 	opts := SampleOptions{Workers: workers}
 	opts.normalize(total - cur)
-	return extendInto(ctx, g, model, cfg, col, cur, total, seed, opts.Workers, widths, true)
+	return extendInto(ctx, g, model, cfg, col, cur, total, seed, opts.Workers, keepPartial)
 }
 
 // extendChunkSets is the number of RR sets a worker samples per work
@@ -82,19 +77,17 @@ func ExtendCollectionConfigPartial(ctx context.Context, g *graph.Graph, model Mo
 const extendChunkSets = 256
 
 // setChunk is one worker's in-flight batch of sampled sets: a private
-// mini-arena (flat + relative end offsets) plus per-set widths. Chunks
-// are recycled through the free list for the lifetime of one extendInto
-// call, so steady-state sampling allocates nothing per chunk.
+// mini-arena (flat + relative end offsets). Chunks are recycled through
+// the free list for the lifetime of one extendInto call, so steady-state
+// sampling allocates nothing per chunk.
 type setChunk struct {
-	flat   []uint32
-	ends   []int64
-	widths []int64
+	flat []uint32
+	ends []int64
 }
 
 func (c *setChunk) reset() {
 	c.flat = c.flat[:0]
 	c.ends = c.ends[:0]
-	c.widths = c.widths[:0]
 }
 
 // extendInto samples sets [lo, total) from their keyed streams
@@ -114,19 +107,16 @@ func (c *setChunk) reset() {
 // observed so far × sets remaining), so flushes are plain appends rather
 // than repeated geometric reallocation.
 //
-// widths receives the per-set widths of the sampled tail, in index order.
-// On a context error, col and widths are rolled back to their input state
-// unless keepPartial is set, in which case the contiguous flushed prefix
-// is kept (SampleCollection's cancellation contract).
-func extendInto(ctx context.Context, g *graph.Graph, model Model, cfg SampleConfig, col *RRCollection, lo, total int64, seed uint64, workers int, widths []int64, keepPartial bool) ([]int64, error) {
+// On a context error, col is rolled back to its input state unless
+// keepPartial is set, in which case the contiguous flushed prefix is kept
+// (SampleCollection's cancellation contract).
+func extendInto(ctx context.Context, g *graph.Graph, model Model, cfg SampleConfig, col *RRCollection, lo, total int64, seed uint64, workers int, keepPartial bool) error {
 	// Keep the input slice values (not just lengths): the rollback path
 	// restores them wholesale, so a cancelled extension cannot leave the
 	// collection pinning a near-final-capacity arena (or a total+1 offset
 	// array) that the caller's memory accounting never sees. Writes past
 	// the original lengths never touch the restored prefixes.
-	origFlatSlice, origOffSlice, origWidth := col.Flat, col.Off, col.TotalWidth
-	origWidthsSlice := widths
-	origWidths := len(widths)
+	origFlat, origOff := col.Flat, col.Off
 
 	missing := total - lo
 	numChunks := (missing + extendChunkSets - 1) / extendChunkSets
@@ -140,17 +130,12 @@ func extendInto(ctx context.Context, g *graph.Graph, model Model, cfg SampleConf
 		Attr("from", lo).Attr("to", total).Attr("workers", int64(workers))
 	maxAhead := int64(workers) * 4
 
-	// The set count after this call is known exactly: reserve Off (and the
-	// widths tail) up front so flushing never reallocates them.
+	// The set count after this call is known exactly: reserve Off up
+	// front so flushing never reallocates it.
 	if int64(cap(col.Off)) < total+1 {
 		off := make([]int64, len(col.Off), total+1)
 		copy(off, col.Off)
 		col.Off = off
-	}
-	if cap(widths)-origWidths < int(missing) {
-		w := make([]int64, origWidths, int64(origWidths)+missing)
-		copy(w, widths)
-		widths = w
 	}
 
 	base := rng.New(seed)
@@ -193,10 +178,6 @@ func extendInto(ctx context.Context, g *graph.Graph, model Model, cfg SampleConf
 		for _, end := range ch.ends {
 			col.Off = append(col.Off, flatBase+end)
 		}
-		for _, w := range ch.widths {
-			col.TotalWidth += w
-		}
-		widths = append(widths, ch.widths...)
 	}
 
 	var wg sync.WaitGroup
@@ -240,10 +221,8 @@ func extendInto(ctx context.Context, g *graph.Graph, model Model, cfg SampleConf
 						break
 					}
 					base.SplitInto(uint64(i), &stream)
-					var width int64
-					ch.flat, width = sampler.Sample(&stream, ch.flat)
+					ch.flat = sampler.Sample(&stream, ch.flat)
 					ch.ends = append(ch.ends, int64(len(ch.flat)))
-					ch.widths = append(ch.widths, width)
 				}
 
 				mu.Lock()
@@ -279,16 +258,14 @@ func extendInto(ctx context.Context, g *graph.Graph, model Model, cfg SampleConf
 	if err := ctxErr(ctx); err != nil && nextFlush < numChunks {
 		if keepPartial {
 			span.Attr("sampled", int64(col.Count())-lo).Attr("partial", true).End()
-			return widths, err
+			return err
 		}
-		col.Flat = origFlatSlice
-		col.Off = origOffSlice
-		col.TotalWidth = origWidth
+		col.Flat, col.Off = origFlat, origOff
 		span.Attr("sampled", int64(0)).Attr("rolled_back", true).End()
-		return origWidthsSlice, err
+		return err
 	}
 	span.Attr("sampled", total-lo).End()
-	return widths, nil
+	return nil
 }
 
 // ctxErr is ctx.Err() tolerant of a nil context.
@@ -299,20 +276,16 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Prefix returns a read-only view of the first count sets of c, with
-// totalWidth as its Σw(R). The view aliases c's storage: it stays valid
-// even if c is extended afterwards (appends either write past the view's
-// length or relocate into a new array), but callers must not mutate it.
-func (c *RRCollection) Prefix(count int, totalWidth int64) *RRCollection {
+// Prefix returns a read-only view of the first count sets of c. The view
+// aliases c's storage: it stays valid even if c is extended afterwards
+// (appends either write past the view's length or relocate into a new
+// array), but callers must not mutate it.
+func (c *RRCollection) Prefix(count int) *RRCollection {
 	if count > c.Count() {
 		count = c.Count()
 	}
 	if count < 0 {
 		count = 0
 	}
-	return &RRCollection{
-		Flat:       c.Flat[:c.Off[count]],
-		Off:        c.Off[:count+1],
-		TotalWidth: totalWidth,
-	}
+	return &RRCollection{Flat: c.Flat[:c.Off[count]], Off: c.Off[:count+1]}
 }

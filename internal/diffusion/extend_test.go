@@ -17,33 +17,27 @@ func extendTestGraph() *graph.Graph {
 
 // TestExtendPrefixDeterminism is the reuse-layer contract: extending a
 // collection in two steps yields bit-identical sets to one big extension
-// with the same seed, and the two-step widths agree set by set.
+// with the same seed.
 func TestExtendPrefixDeterminism(t *testing.T) {
 	g := extendTestGraph()
 	model := NewIC()
 	const seed, mid, total = 99, 40, 150
 
 	stepwise := &RRCollection{}
-	widths, err := ExtendCollection(context.Background(), g, model, stepwise, mid, seed, 2, nil)
-	if err != nil {
+	if err := ExtendCollection(context.Background(), g, model, stepwise, mid, seed, 2); err != nil {
 		t.Fatal(err)
 	}
-	widths, err = ExtendCollection(context.Background(), g, model, stepwise, total, seed, 3, widths)
-	if err != nil {
+	if err := ExtendCollection(context.Background(), g, model, stepwise, total, seed, 3); err != nil {
 		t.Fatal(err)
 	}
 
 	oneshot := &RRCollection{}
-	oneWidths, err := ExtendCollection(context.Background(), g, model, oneshot, total, seed, 1, nil)
-	if err != nil {
+	if err := ExtendCollection(context.Background(), g, model, oneshot, total, seed, 1); err != nil {
 		t.Fatal(err)
 	}
 
 	if stepwise.Count() != total || oneshot.Count() != total {
 		t.Fatalf("counts: stepwise=%d oneshot=%d want %d", stepwise.Count(), oneshot.Count(), total)
-	}
-	if stepwise.TotalWidth != oneshot.TotalWidth {
-		t.Fatalf("total widths differ: %d vs %d", stepwise.TotalWidth, oneshot.TotalWidth)
 	}
 	for i := 0; i < total; i++ {
 		a, b := stepwise.Set(i), oneshot.Set(i)
@@ -55,9 +49,6 @@ func TestExtendPrefixDeterminism(t *testing.T) {
 				t.Fatalf("set %d member %d: %d vs %d", i, j, a[j], b[j])
 			}
 		}
-		if widths[i] != oneWidths[i] {
-			t.Fatalf("set %d width: %d vs %d", i, widths[i], oneWidths[i])
-		}
 	}
 }
 
@@ -65,10 +56,10 @@ func TestExtendPrefixDeterminism(t *testing.T) {
 func TestExtendNoShrink(t *testing.T) {
 	g := extendTestGraph()
 	col := &RRCollection{}
-	if _, err := ExtendCollection(context.Background(), g, NewIC(), col, 30, 1, 1, nil); err != nil {
+	if err := ExtendCollection(context.Background(), g, NewIC(), col, 30, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExtendCollection(context.Background(), g, NewIC(), col, 10, 1, 1, nil); err != nil {
+	if err := ExtendCollection(context.Background(), g, NewIC(), col, 10, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if col.Count() != 30 {
@@ -81,12 +72,12 @@ func TestExtendNoShrink(t *testing.T) {
 func TestExtendCancelled(t *testing.T) {
 	g := extendTestGraph()
 	col := &RRCollection{}
-	if _, err := ExtendCollection(context.Background(), g, NewIC(), col, 20, 1, 1, nil); err != nil {
+	if err := ExtendCollection(context.Background(), g, NewIC(), col, 20, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ExtendCollection(ctx, g, NewIC(), col, 10_000, 1, 1, nil)
+	err := ExtendCollection(ctx, g, NewIC(), col, 10_000, 1, 1)
 	if err == nil {
 		t.Fatal("want a context error")
 	}
@@ -100,20 +91,15 @@ func TestExtendCancelled(t *testing.T) {
 func TestPrefixView(t *testing.T) {
 	g := extendTestGraph()
 	col := &RRCollection{}
-	widths, err := ExtendCollection(context.Background(), g, NewIC(), col, 25, 7, 1, nil)
-	if err != nil {
+	if err := ExtendCollection(context.Background(), g, NewIC(), col, 25, 7, 1); err != nil {
 		t.Fatal(err)
 	}
-	var w10 int64
-	for _, w := range widths[:10] {
-		w10 += w
-	}
-	view := col.Prefix(10, w10)
+	view := col.Prefix(10)
 	wantFirst := append([]uint32(nil), col.Set(0)...)
-	if view.Count() != 10 || view.TotalWidth != w10 {
-		t.Fatalf("view count=%d width=%d, want 10/%d", view.Count(), view.TotalWidth, w10)
+	if view.Count() != 10 || view.TotalNodes() != col.Off[10] {
+		t.Fatalf("view count=%d nodes=%d, want 10/%d", view.Count(), view.TotalNodes(), col.Off[10])
 	}
-	if _, err := ExtendCollection(context.Background(), g, NewIC(), col, 500, 7, 4, widths); err != nil {
+	if err := ExtendCollection(context.Background(), g, NewIC(), col, 500, 7, 4); err != nil {
 		t.Fatal(err)
 	}
 	got := view.Set(0)
@@ -125,7 +111,7 @@ func TestPrefixView(t *testing.T) {
 			t.Fatal("view set 0 mutated after parent extension")
 		}
 	}
-	if view.Prefix(99, 0).Count() != 10 {
+	if view.Prefix(99).Count() != 10 {
 		t.Fatal("Prefix must clamp to the view's own count")
 	}
 }

@@ -19,7 +19,7 @@ import (
 //
 // Tracing changes no random draws: SampleTraced consumes the rng stream
 // exactly as Sample does, so a traced and an untraced sample from the
-// same stream return identical member sets and widths. That equivalence
+// same stream return identical member sets. That equivalence
 // is asserted by TestSampleTracedMatchesSample.
 
 // TraceEdge is one discovery edge, directed as in G: the traversal
@@ -58,14 +58,14 @@ func (c *TraceCollection) MemoryBytes() int64 {
 
 // SampleTraced generates one RR set like Sample while also appending its
 // discovery edges to trace. The rng consumption is identical to Sample's,
-// so for the same stream the member set and width are bit-identical.
-func (s *RRSampler) SampleTraced(r *rng.Rand, dst []uint32, trace []TraceEdge) ([]uint32, []TraceEdge, int64) {
+// so for the same stream the member set is bit-identical.
+func (s *RRSampler) SampleTraced(r *rng.Rand, dst []uint32, trace []TraceEdge) ([]uint32, []TraceEdge) {
 	root := uint32(r.Intn(s.g.N()))
 	return s.SampleFromTraced(r, root, dst, trace)
 }
 
 // SampleFromTraced is SampleTraced with an explicit root.
-func (s *RRSampler) SampleFromTraced(r *rng.Rand, root uint32, dst []uint32, trace []TraceEdge) ([]uint32, []TraceEdge, int64) {
+func (s *RRSampler) SampleFromTraced(r *rng.Rand, root uint32, dst []uint32, trace []TraceEdge) ([]uint32, []TraceEdge) {
 	switch s.model.kind {
 	case IC:
 		return s.sampleICTraced(r, root, dst, trace)
@@ -78,17 +78,15 @@ func (s *RRSampler) SampleFromTraced(r *rng.Rand, root uint32, dst []uint32, tra
 
 // sampleICTraced mirrors sampleIC; a discovery edge is recorded exactly
 // when a retained coin brings an unvisited node in.
-func (s *RRSampler) sampleICTraced(r *rng.Rand, root uint32, dst []uint32, trace []TraceEdge) ([]uint32, []TraceEdge, int64) {
+func (s *RRSampler) sampleICTraced(r *rng.Rand, root uint32, dst []uint32, trace []TraceEdge) ([]uint32, []TraceEdge) {
 	s.nextEpoch()
 	g, mark, epoch := s.g, s.mark, s.epoch
 	start := len(dst)
 	mark[root] = epoch
 	dst = append(dst, root)
-	var width int64
 	for head := start; head < len(dst); head++ {
 		v := dst[head]
 		src, w := g.InNeighbors(v)
-		width += int64(len(src))
 		for i := range src {
 			u := src[i]
 			if mark[u] == epoch {
@@ -101,22 +99,20 @@ func (s *RRSampler) sampleICTraced(r *rng.Rand, root uint32, dst []uint32, trace
 			}
 		}
 	}
-	return dst, trace, width
+	return dst, trace
 }
 
 // sampleLTTraced mirrors sampleLT; each chain step is a discovery edge.
-func (s *RRSampler) sampleLTTraced(r *rng.Rand, root uint32, dst []uint32, trace []TraceEdge) ([]uint32, []TraceEdge, int64) {
+func (s *RRSampler) sampleLTTraced(r *rng.Rand, root uint32, dst []uint32, trace []TraceEdge) ([]uint32, []TraceEdge) {
 	s.nextEpoch()
 	g, mark, epoch := s.g, s.mark, s.epoch
 	mark[root] = epoch
 	dst = append(dst, root)
-	var width int64
 	v := root
 	for {
 		src, w := g.InNeighbors(v)
-		width += int64(len(src))
 		if len(src) == 0 {
-			return dst, trace, width
+			return dst, trace
 		}
 		x := r.Float32()
 		var acc float32
@@ -131,10 +127,10 @@ func (s *RRSampler) sampleLTTraced(r *rng.Rand, root uint32, dst []uint32, trace
 			}
 		}
 		if !found {
-			return dst, trace, width
+			return dst, trace
 		}
 		if mark[next] == epoch {
-			return dst, trace, width
+			return dst, trace
 		}
 		mark[next] = epoch
 		dst = append(dst, next)
@@ -145,16 +141,14 @@ func (s *RRSampler) sampleLTTraced(r *rng.Rand, root uint32, dst []uint32, trace
 
 // sampleTriggeringTraced mirrors sampleTriggering; a discovery edge is
 // recorded when an unvisited member of v's triggering set joins the set.
-func (s *RRSampler) sampleTriggeringTraced(r *rng.Rand, root uint32, dst []uint32, trace []TraceEdge) ([]uint32, []TraceEdge, int64) {
+func (s *RRSampler) sampleTriggeringTraced(r *rng.Rand, root uint32, dst []uint32, trace []TraceEdge) ([]uint32, []TraceEdge) {
 	s.nextEpoch()
 	g, mark, epoch := s.g, s.mark, s.epoch
 	start := len(dst)
 	mark[root] = epoch
 	dst = append(dst, root)
-	var width int64
 	for head := start; head < len(dst); head++ {
 		v := dst[head]
-		width += int64(g.InDegree(v))
 		s.trig = s.model.trigger.AppendTrigger(s.trig[:0], g, v, r)
 		for _, u := range s.trig {
 			if mark[u] != epoch {
@@ -164,7 +158,7 @@ func (s *RRSampler) sampleTriggeringTraced(r *rng.Rand, root uint32, dst []uint3
 			}
 		}
 	}
-	return dst, trace, width
+	return dst, trace
 }
 
 // edgeExists reports whether g has at least one u→v edge. Helper for

@@ -9,7 +9,7 @@ import (
 )
 
 // TestSampleTracedMatchesSample: tracing must not change the random draws
-// — the member set and width from SampleTraced equal Sample's from the
+// — the member set from SampleTraced equals Sample's from the
 // same stream, for every model family.
 func TestSampleTracedMatchesSample(t *testing.T) {
 	g := gen.ErdosRenyiGnm(200, 900, rng.New(7))
@@ -25,11 +25,11 @@ func TestSampleTracedMatchesSample(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			r1 := rng.New(uint64(i) * 31)
 			r2 := rng.New(uint64(i) * 31)
-			set1, w1 := plain.Sample(r1, nil)
-			set2, trace, w2 := traced.SampleTraced(r2, nil, nil)
-			if w1 != w2 || len(set1) != len(set2) {
-				t.Fatalf("%s sample %d: traced diverged: width %d vs %d, size %d vs %d",
-					name, i, w1, w2, len(set1), len(set2))
+			set1 := plain.Sample(r1, nil)
+			set2, trace := traced.SampleTraced(r2, nil, nil)
+			if len(set1) != len(set2) {
+				t.Fatalf("%s sample %d: traced diverged: size %d vs %d",
+					name, i, len(set1), len(set2))
 			}
 			for j := range set1 {
 				if set1[j] != set2[j] {
@@ -59,7 +59,7 @@ func TestSampleTracedStructure(t *testing.T) {
 		s := NewRRSampler(g, model)
 		r := rng.New(99)
 		for i := 0; i < 100; i++ {
-			set, trace, _ := s.SampleTraced(r, nil, nil)
+			set, trace := s.SampleTraced(r, nil, nil)
 			pos := make(map[uint32]int, len(set))
 			for j, v := range set {
 				pos[v] = j

@@ -48,15 +48,10 @@ func TestMaxHopsIC(t *testing.T) {
 	const hops = 3
 	s := NewRRSamplerConfig(g, NewIC(), SampleConfig{MaxHops: hops})
 	r := rng.New(1)
-	set, width := s.SampleFrom(r, 9, nil)
+	set := s.SampleFrom(r, 9, nil)
 	want := []uint32{9, 8, 7, 6}
 	if !reflect.DeepEqual(set, want) {
 		t.Fatalf("3-hop RR set %v, want %v", set, want)
-	}
-	// Width counts in-edges of expanded nodes only: 9, 8, 7 each have one
-	// in-edge; horizon node 6 is not expanded.
-	if width != 3 {
-		t.Fatalf("width %d, want 3", width)
 	}
 }
 
@@ -64,7 +59,7 @@ func TestMaxHopsLT(t *testing.T) {
 	g := pathGraph(10)
 	s := NewRRSamplerConfig(g, NewLT(), SampleConfig{MaxHops: 2})
 	r := rng.New(2)
-	set, _ := s.SampleFrom(r, 9, nil)
+	set := s.SampleFrom(r, 9, nil)
 	if len(set) > 3 {
 		t.Fatalf("2-hop LT chain %v longer than 3 nodes", set)
 	}
@@ -83,8 +78,8 @@ func TestMaxHopsSubset(t *testing.T) {
 		capped := NewRRSamplerConfig(g, model, SampleConfig{MaxHops: 2})
 		for i := 0; i < 200; i++ {
 			r1, r2 := rng.New(uint64(i)), rng.New(uint64(i))
-			fullSet, _ := full.Sample(r1, nil)
-			cappedSet, _ := capped.Sample(r2, nil)
+			fullSet := full.Sample(r1, nil)
+			cappedSet := capped.Sample(r2, nil)
 			if len(cappedSet) > len(fullSet) {
 				t.Fatalf("%v: capped %v larger than full %v", model, cappedSet, fullSet)
 			}
@@ -116,21 +111,18 @@ func TestExtendConfigPrefixDeterminism(t *testing.T) {
 	model := NewIC()
 
 	warm := &RRCollection{Off: []int64{0}}
-	if _, err := ExtendCollectionConfig(context.Background(), g, model, cfg, warm, 40, 9, 2, nil); err != nil {
+	if err := ExtendCollectionConfig(context.Background(), g, model, cfg, warm, 40, 9, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExtendCollectionConfig(context.Background(), g, model, cfg, warm, 100, 9, 3, nil); err != nil {
+	if err := ExtendCollectionConfig(context.Background(), g, model, cfg, warm, 100, 9, 3); err != nil {
 		t.Fatal(err)
 	}
 	cold := &RRCollection{Off: []int64{0}}
-	if _, err := ExtendCollectionConfig(context.Background(), g, model, cfg, cold, 100, 9, 1, nil); err != nil {
+	if err := ExtendCollectionConfig(context.Background(), g, model, cfg, cold, 100, 9, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(warm.Flat, cold.Flat) || !reflect.DeepEqual(warm.Off, cold.Off) {
 		t.Fatal("warm extension diverged from cold sample under config")
-	}
-	if warm.TotalWidth != cold.TotalWidth {
-		t.Fatalf("widths diverged: %d vs %d", warm.TotalWidth, cold.TotalWidth)
 	}
 }
 

@@ -59,14 +59,11 @@ func (s *RRSampler) nextEpoch() {
 }
 
 // Sample generates one RR set rooted at a random node — uniform by
-// default, or drawn from the configured RootSampler — and appends its
-// members to dst. It returns the extended slice and the width w(R) of the
-// set — the number of edges in G that point to *expanded* nodes of R
-// (Equation 1), which is also the number of coin flips a fresh IC
-// generation examines and the quantity κ(R) is computed from. Under a
-// MaxHops horizon, nodes sitting exactly at the horizon are members but
-// are never expanded, so their in-edges do not count toward the width.
-func (s *RRSampler) Sample(r *rng.Rand, dst []uint32) ([]uint32, int64) {
+// default, or drawn from the configured RootSampler — appends its members
+// to dst, and returns the extended slice. The set's width w(R) is not
+// tracked here: Width recomputes it from the graph where a formula needs
+// it (κ(R) in Algorithm 2, the EPT estimate, the RIS cost rule).
+func (s *RRSampler) Sample(r *rng.Rand, dst []uint32) []uint32 {
 	var root uint32
 	if s.cfg.Roots != nil {
 		root = s.cfg.Roots.SampleRoot(r)
@@ -77,7 +74,7 @@ func (s *RRSampler) Sample(r *rng.Rand, dst []uint32) ([]uint32, int64) {
 }
 
 // SampleFrom generates one RR set rooted at the given node.
-func (s *RRSampler) SampleFrom(r *rng.Rand, root uint32, dst []uint32) ([]uint32, int64) {
+func (s *RRSampler) SampleFrom(r *rng.Rand, root uint32, dst []uint32) []uint32 {
 	switch s.model.kind {
 	case IC:
 		return s.sampleIC(r, root, dst)
@@ -90,13 +87,12 @@ func (s *RRSampler) SampleFrom(r *rng.Rand, root uint32, dst []uint32) ([]uint32
 
 // sampleIC is the §3.1 randomized reverse BFS: each in-edge of a visited
 // node is retained with its propagation probability.
-func (s *RRSampler) sampleIC(r *rng.Rand, root uint32, dst []uint32) ([]uint32, int64) {
+func (s *RRSampler) sampleIC(r *rng.Rand, root uint32, dst []uint32) []uint32 {
 	s.nextEpoch()
 	g, mark, epoch := s.g, s.mark, s.epoch
 	start := len(dst)
 	mark[root] = epoch
 	dst = append(dst, root)
-	var width int64
 	depth, levelEnd := 0, len(dst)
 	// The queue is the tail of dst not yet expanded: BFS order preserved.
 	for head := start; head < len(dst); head++ {
@@ -111,7 +107,6 @@ func (s *RRSampler) sampleIC(r *rng.Rand, root uint32, dst []uint32) ([]uint32, 
 		}
 		v := dst[head]
 		src, w := g.InNeighbors(v)
-		width += int64(len(src))
 		for i := range src {
 			u := src[i]
 			if mark[u] == epoch {
@@ -123,7 +118,7 @@ func (s *RRSampler) sampleIC(r *rng.Rand, root uint32, dst []uint32) ([]uint32, 
 			}
 		}
 	}
-	return dst, width
+	return dst
 }
 
 // sampleLT walks a single reverse chain: under LT the triggering set of a
@@ -131,18 +126,16 @@ func (s *RRSampler) sampleIC(r *rng.Rand, root uint32, dst []uint32) ([]uint32, 
 // edge weight (§4.2; one random number per node visited, which is why LT
 // sampling is empirically faster than IC — §7.2 "Results on Large
 // Datasets").
-func (s *RRSampler) sampleLT(r *rng.Rand, root uint32, dst []uint32) ([]uint32, int64) {
+func (s *RRSampler) sampleLT(r *rng.Rand, root uint32, dst []uint32) []uint32 {
 	s.nextEpoch()
 	g, mark, epoch := s.g, s.mark, s.epoch
 	mark[root] = epoch
 	dst = append(dst, root)
-	var width int64
 	v := root
 	for hops := 0; s.cfg.MaxHops <= 0 || hops < s.cfg.MaxHops; hops++ {
 		src, w := g.InNeighbors(v)
-		width += int64(len(src))
 		if len(src) == 0 {
-			return dst, width
+			return dst
 		}
 		x := r.Float32()
 		var acc float32
@@ -157,27 +150,26 @@ func (s *RRSampler) sampleLT(r *rng.Rand, root uint32, dst []uint32) ([]uint32, 
 			}
 		}
 		if !found { // residual probability: empty triggering set
-			return dst, width
+			return dst
 		}
 		if mark[next] == epoch { // chain closed a cycle
-			return dst, width
+			return dst
 		}
 		mark[next] = epoch
 		dst = append(dst, next)
 		v = next
 	}
-	return dst, width // horizon reached: chain truncated at MaxHops steps
+	return dst // horizon reached: chain truncated at MaxHops steps
 }
 
 // sampleTriggering is the general §4.2 reverse BFS: for each visited node
 // sample its triggering set and enqueue unvisited members.
-func (s *RRSampler) sampleTriggering(r *rng.Rand, root uint32, dst []uint32) ([]uint32, int64) {
+func (s *RRSampler) sampleTriggering(r *rng.Rand, root uint32, dst []uint32) []uint32 {
 	s.nextEpoch()
 	g, mark, epoch := s.g, s.mark, s.epoch
 	start := len(dst)
 	mark[root] = epoch
 	dst = append(dst, root)
-	var width int64
 	depth, levelEnd := 0, len(dst)
 	for head := start; head < len(dst); head++ {
 		if head == levelEnd {
@@ -188,7 +180,6 @@ func (s *RRSampler) sampleTriggering(r *rng.Rand, root uint32, dst []uint32) ([]
 			break
 		}
 		v := dst[head]
-		width += int64(g.InDegree(v))
 		s.trig = s.model.trigger.AppendTrigger(s.trig[:0], g, v, r)
 		for _, u := range s.trig {
 			if mark[u] != epoch {
@@ -197,12 +188,14 @@ func (s *RRSampler) sampleTriggering(r *rng.Rand, root uint32, dst []uint32) ([]
 			}
 		}
 	}
-	return dst, width
+	return dst
 }
 
-// Width recomputes w(R) for an arbitrary node set (Equation 1): the total
-// in-degree of its members. Exposed for tests and for consumers that store
-// RR sets without widths.
+// Width computes w(R) for an arbitrary node set (Equation 1): the number
+// of edges in G that point into R, i.e. the total in-degree of its
+// members. It is the repo's only width computation — RR collections store
+// members only, and the formulas that read w(R) (κ(R) in Algorithm 2, the
+// EPT estimate, the RIS cost rule) call it per set.
 func Width(g *graph.Graph, rr []uint32) int64 {
 	var width int64
 	for _, v := range rr {

@@ -130,7 +130,7 @@ func TestCustomTriggersRunEndToEnd(t *testing.T) {
 		sampler := NewRRSampler(g, model)
 		var buf []uint32
 		for i := 0; i < 200; i++ {
-			buf, _ = sampler.Sample(r, buf[:0])
+			buf = sampler.Sample(r, buf[:0])
 			if len(buf) == 0 {
 				t.Fatalf("%T: empty RR set", ts)
 			}

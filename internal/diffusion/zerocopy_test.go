@@ -16,30 +16,24 @@ import (
 // the per-index keyed-stream contract: set i from rng.New(seed).Split(i),
 // appended in index order. The zero-copy sharded path must match it byte
 // for byte.
-func sampleSerialReference(g *graph.Graph, model Model, cfg SampleConfig, count int64, seed uint64) (*RRCollection, []int64) {
+func sampleSerialReference(g *graph.Graph, model Model, cfg SampleConfig, count int64, seed uint64) *RRCollection {
 	col := &RRCollection{Off: []int64{0}}
-	widths := make([]int64, 0, count)
 	sampler := NewRRSamplerConfig(g, model, cfg)
 	base := rng.New(seed)
 	var stream rng.Rand
 	var buf []uint32
 	for i := int64(0); i < count; i++ {
 		base.SplitInto(uint64(i), &stream)
-		var width int64
-		buf, width = sampler.Sample(&stream, buf[:0])
-		col.Append(buf, width)
-		widths = append(widths, width)
+		buf = sampler.Sample(&stream, buf[:0])
+		col.Append(buf)
 	}
-	return col, widths
+	return col
 }
 
 func sameCollection(t *testing.T, label string, got, want *RRCollection) {
 	t.Helper()
 	if got.Count() != want.Count() {
 		t.Fatalf("%s: count %d != %d", label, got.Count(), want.Count())
-	}
-	if got.TotalWidth != want.TotalWidth {
-		t.Fatalf("%s: total width %d != %d", label, got.TotalWidth, want.TotalWidth)
 	}
 	if !reflect.DeepEqual(got.Off, want.Off) {
 		t.Fatalf("%s: offset arrays differ", label)
@@ -96,9 +90,8 @@ func sampleMergeBaseline(g *graph.Graph, model Model, count int64, seed uint64, 
 			var buf []uint32
 			for i := lo; i < hi; i++ {
 				base.SplitInto(uint64(i), &stream)
-				var width int64
-				buf, width = sampler.Sample(&stream, buf[:0])
-				part.Append(buf, width)
+				buf = sampler.Sample(&stream, buf[:0])
+				part.Append(buf)
 			}
 			parts[w] = part
 		}(w, lo, hi)
@@ -147,7 +140,7 @@ func TestSampleCollectionMatchesSerialReference(t *testing.T) {
 		{"lt", gLT, NewLT()},
 	} {
 		for cfgName, cfg := range zeroCopyConfigs(tc.g.N()) {
-			want, _ := sampleSerialReference(tc.g, tc.model, cfg, 700, 42)
+			want := sampleSerialReference(tc.g, tc.model, cfg, 700, 42)
 			for _, workers := range []int{1, 2, 3, 8} {
 				got := SampleCollection(tc.g, tc.model, 700, SampleOptions{
 					Workers: workers, Seed: 42, Config: cfg,
@@ -159,27 +152,21 @@ func TestSampleCollectionMatchesSerialReference(t *testing.T) {
 }
 
 // TestExtendZeroCopyMatchesSerialReference: stepwise parallel extensions
-// under every scenario reproduce the serial reference bytes and widths.
+// under every scenario reproduce the serial reference bytes.
 func TestExtendZeroCopyMatchesSerialReference(t *testing.T) {
 	g := gen.BarabasiAlbert(350, 3, rng.New(12))
 	graph.AssignWeightedCascade(g)
 	for cfgName, cfg := range zeroCopyConfigs(g.N()) {
-		want, wantWidths := sampleSerialReference(g, NewIC(), cfg, 600, 77)
+		want := sampleSerialReference(g, NewIC(), cfg, 600, 77)
 		for _, workers := range []int{1, 4, 7} {
 			col := &RRCollection{Off: []int64{0}}
-			widths, err := ExtendCollectionConfig(context.Background(), g, NewIC(), cfg, col, 150, 77, workers, nil)
-			if err != nil {
+			if err := ExtendCollectionConfig(context.Background(), g, NewIC(), cfg, col, 150, 77, workers); err != nil {
 				t.Fatal(err)
 			}
-			widths, err = ExtendCollectionConfig(context.Background(), g, NewIC(), cfg, col, 600, 77, workers, widths)
-			if err != nil {
+			if err := ExtendCollectionConfig(context.Background(), g, NewIC(), cfg, col, 600, 77, workers); err != nil {
 				t.Fatal(err)
 			}
-			label := fmt.Sprintf("%s/workers=%d", cfgName, workers)
-			sameCollection(t, label, col, want)
-			if !reflect.DeepEqual(widths, wantWidths) {
-				t.Fatalf("%s: widths differ", label)
-			}
+			sameCollection(t, fmt.Sprintf("%s/workers=%d", cfgName, workers), col, want)
 		}
 	}
 }
@@ -193,7 +180,7 @@ func TestSampleCollectionEqualsExtend(t *testing.T) {
 	graph.AssignWeightedCascade(g)
 	sampled := SampleCollection(g, NewIC(), 300, SampleOptions{Workers: 4, Seed: 5})
 	extended := &RRCollection{Off: []int64{0}}
-	if _, err := ExtendCollection(context.Background(), g, NewIC(), extended, 300, 5, 4, nil); err != nil {
+	if err := ExtendCollection(context.Background(), g, NewIC(), extended, 300, 5, 4); err != nil {
 		t.Fatal(err)
 	}
 	sameCollection(t, "sample-vs-extend", sampled, extended)
@@ -201,28 +188,26 @@ func TestSampleCollectionEqualsExtend(t *testing.T) {
 
 // TestExtendCancelMidwayRollsBack: cancellation mid-extension (not just
 // pre-cancelled) leaves the collection exactly as it was, including
-// length, offsets, and total width.
+// length and offsets.
 func TestExtendCancelMidwayRollsBack(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, rng.New(14))
 	graph.AssignWeightedCascade(g)
 	col := &RRCollection{Off: []int64{0}}
-	widths, err := ExtendCollection(context.Background(), g, NewIC(), col, 50, 9, 2, nil)
-	if err != nil {
+	if err := ExtendCollection(context.Background(), g, NewIC(), col, 50, 9, 2); err != nil {
 		t.Fatal(err)
 	}
-	wantFlat, wantOff, wantWidth := len(col.Flat), len(col.Off), col.TotalWidth
+	wantFlat, wantOff := len(col.Flat), len(col.Off)
 	wantFlatCap, wantOffCap := cap(col.Flat), cap(col.Off)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { cancel() }() // races the sampling loop: any interleaving must roll back
-	w2, err := ExtendCollection(ctx, g, NewIC(), col, 500_000, 9, 4, widths)
-	if err == nil {
+	if err := ExtendCollection(ctx, g, NewIC(), col, 500_000, 9, 4); err == nil {
 		// The cancel can lose the race on a fast machine; then the extend
 		// simply completed and the contract is untested but unviolated.
 		t.Skip("cancellation lost the race with the extension")
 	}
-	if len(col.Flat) != wantFlat || len(col.Off) != wantOff || col.TotalWidth != wantWidth {
-		t.Fatalf("cancelled extension mutated the collection: flat %d→%d off %d→%d width %d→%d",
-			wantFlat, len(col.Flat), wantOff, len(col.Off), wantWidth, col.TotalWidth)
+	if len(col.Flat) != wantFlat || len(col.Off) != wantOff {
+		t.Fatalf("cancelled extension mutated the collection: flat %d→%d off %d→%d",
+			wantFlat, len(col.Flat), wantOff, len(col.Off))
 	}
 	// Capacities must roll back too: a cancelled big-θ extension must not
 	// leave the entry pinning a near-final-size arena (or a total+1
@@ -230,9 +215,6 @@ func TestExtendCancelMidwayRollsBack(t *testing.T) {
 	if cap(col.Flat) != wantFlatCap || cap(col.Off) != wantOffCap {
 		t.Fatalf("cancelled extension pinned grown capacity: flat cap %d→%d off cap %d→%d",
 			wantFlatCap, cap(col.Flat), wantOffCap, cap(col.Off))
-	}
-	if len(w2) != 50 {
-		t.Fatalf("cancelled extension grew widths: %d", len(w2))
 	}
 }
 
@@ -250,11 +232,11 @@ func TestSamplerPoolReuse(t *testing.T) {
 			fresh := NewRRSamplerConfig(g, NewIC(), SampleConfig{})
 			for i := 0; i < 40; i++ {
 				r1, r2 := rng.New(seed+uint64(i)), rng.New(seed+uint64(i))
-				a, wa := pooled.Sample(r1, nil)
-				b, wb := fresh.Sample(r2, nil)
-				if wa != wb || !reflect.DeepEqual(a, b) {
-					t.Fatalf("round %d n=%d sample %d: pooled %v (w=%d) != fresh %v (w=%d)",
-						round, g.N(), i, a, wa, b, wb)
+				a := pooled.Sample(r1, nil)
+				b := fresh.Sample(r2, nil)
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("round %d n=%d sample %d: pooled %v != fresh %v",
+						round, g.N(), i, a, b)
 				}
 			}
 			ReleaseSampler(pooled)

@@ -25,13 +25,19 @@
 // evicted. Spill-tier files are cached, repaired after promotion like
 // any warm collection, and shared by every query on their key.
 //
+// Both formats share one record layout — u32 set length, then that many
+// u32 node ids, little-endian — written by writeRecord and read by
+// readRecord. They differ only in the header: the offline file has none
+// (its Collection keeps the totals in memory), the spill-tier file
+// starts with a magic and five u64 fields.
+//
 // Corrupt or truncated spill data surfaces as typed errors consistent
-// with graph.ReadBinary's: Scan wraps graph.ErrTruncated when the file
-// ends mid-record (the only structural failure a length-prefixed spill
-// file can exhibit). Failures on the write side (a full disk, a dying
-// device) wrap ErrSpill, and the writer removes its partial file before
-// reporting them — a failed spill never leaves debris for the caller to
-// clean up or a later run to trip over.
+// with graph.ReadBinary's: a file that ends mid-record wraps
+// graph.ErrTruncated, and a record that overruns the node total or a
+// node id outside the graph wraps ErrSpillFormat. Failures on the write
+// side (a full disk, a dying device) wrap ErrSpill, and the writer
+// removes its partial file before reporting them — a failed spill never
+// leaves debris for the caller to clean up or a later run to trip over.
 package diskrr
 
 import (
@@ -69,7 +75,6 @@ type Writer struct {
 
 	count      int64
 	totalNodes int64
-	totalWidth int64
 	closed     bool
 	failErr    error // sticky ErrSpill-wrapped failure; file already removed
 }
@@ -91,27 +96,64 @@ func NewWriter(dir string) (*Writer, error) {
 // Append writes one RR set. On a write failure the spill file is
 // removed and the writer is dead: the error (wrapping ErrSpill) is
 // sticky and every later call returns it.
-func (w *Writer) Append(rr []uint32, width int64) error {
+func (w *Writer) Append(rr []uint32) error {
 	if w.closed {
 		if w.failErr != nil {
 			return w.failErr
 		}
 		return errors.New("diskrr: append after Finish")
 	}
-	binary.LittleEndian.PutUint32(w.rec, uint32(len(rr)))
-	if err := w.write(w.rec); err != nil {
+	if err := writeRecord(w.write, w.rec, rr); err != nil {
 		return w.fail(err)
-	}
-	for _, v := range rr {
-		binary.LittleEndian.PutUint32(w.rec, v)
-		if err := w.write(w.rec); err != nil {
-			return w.fail(err)
-		}
 	}
 	w.count++
 	w.totalNodes += int64(len(rr))
-	w.totalWidth += width
 	return nil
+}
+
+// writeRecord emits one record — u32 set length, then the node ids —
+// through write, using word (4 bytes) as scratch. Both formats write
+// their records here, so every word passes the caller's FaultSpillWrite
+// point.
+func writeRecord(write func([]byte) error, word []byte, rr []uint32) error {
+	binary.LittleEndian.PutUint32(word, uint32(len(rr)))
+	if err := write(word); err != nil {
+		return err
+	}
+	for _, v := range rr {
+		binary.LittleEndian.PutUint32(word, v)
+		if err := write(word); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readRecord reads one record from br and appends its node ids to dst;
+// body is reusable scratch for the record's bytes. A record longer than
+// room ids fails wrapping ErrSpillFormat before its body is read, so a
+// corrupt length never sizes an allocation; a short read fails wrapping
+// graph.ErrTruncated. i numbers the record in error messages.
+func readRecord(br *bufio.Reader, i, room int64, dst []uint32, body []byte) ([]uint32, []byte, error) {
+	var word [4]byte
+	if _, err := io.ReadFull(br, word[:]); err != nil {
+		return dst, body, fmt.Errorf("diskrr: reading set %d header: %w", i, truncErr(err))
+	}
+	size := int64(binary.LittleEndian.Uint32(word[:]))
+	if size > room {
+		return dst, body, fmt.Errorf("%w: set %d (%d nodes) overruns the node total", ErrSpillFormat, i, size)
+	}
+	if int64(cap(body)) < 4*size {
+		body = make([]byte, 4*size)
+	}
+	body = body[:4*size]
+	if _, err := io.ReadFull(br, body); err != nil {
+		return dst, body, fmt.Errorf("diskrr: reading set %d body (%d nodes): %w", i, size, truncErr(err))
+	}
+	for j := int64(0); j < size; j++ {
+		dst = append(dst, binary.LittleEndian.Uint32(body[4*j:]))
+	}
+	return dst, body, nil
 }
 
 // write pushes one buffered record through the FaultSpillWrite point.
@@ -163,7 +205,6 @@ func (w *Writer) Finish() (*Collection, error) {
 		path:       w.f.Name(),
 		count:      w.count,
 		totalNodes: w.totalNodes,
-		totalWidth: w.totalWidth,
 	}, nil
 }
 
@@ -186,7 +227,6 @@ type Collection struct {
 	path       string
 	count      int64
 	totalNodes int64
-	totalWidth int64
 }
 
 // Count returns the number of RR sets.
@@ -194,9 +234,6 @@ func (c *Collection) Count() int64 { return c.count }
 
 // TotalNodes returns Σ|R|.
 func (c *Collection) TotalNodes() int64 { return c.totalNodes }
-
-// TotalWidth returns Σw(R).
-func (c *Collection) TotalWidth() int64 { return c.totalWidth }
 
 // DiskBytes returns the size of the spill file.
 func (c *Collection) DiskBytes() int64 { return 4 * (c.count + c.totalNodes) }
@@ -218,27 +255,19 @@ func (c *Collection) Scan(fn func(i int64, set []uint32) error) error {
 		return err
 	}
 	br := bufio.NewReaderSize(c.f, 1<<20)
-	hdr := make([]byte, 4)
-	var buf []uint32
-	var raw []byte
+	var (
+		set  []uint32
+		body []byte
+		seen int64
+		err  error
+	)
 	for i := int64(0); i < c.count; i++ {
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			return fmt.Errorf("diskrr: reading set %d header: %w", i, truncErr(err))
+		set, body, err = readRecord(br, i, c.totalNodes-seen, set[:0], body)
+		if err != nil {
+			return err
 		}
-		size := int(binary.LittleEndian.Uint32(hdr))
-		if cap(buf) < size {
-			buf = make([]uint32, size)
-			raw = make([]byte, 4*size)
-		}
-		buf = buf[:size]
-		raw = raw[:4*size]
-		if _, err := io.ReadFull(br, raw); err != nil {
-			return fmt.Errorf("diskrr: reading set %d body (%d nodes): %w", i, size, truncErr(err))
-		}
-		for j := 0; j < size; j++ {
-			buf[j] = binary.LittleEndian.Uint32(raw[4*j:])
-		}
-		if err := fn(i, buf); err != nil {
+		seen += int64(len(set))
+		if err := fn(i, set); err != nil {
 			return err
 		}
 	}
@@ -266,7 +295,8 @@ type Result struct {
 // GreedyOutOfCore selects k nodes from [0, n) greedily maximizing RR-set
 // coverage, in k+1 sequential passes over the spill file. Resident
 // memory is O(n) counters plus one bit per set. Tie-breaking is by
-// lowest node id (identical to maxcover.GreedyNaive).
+// lowest node id (identical to maxcover.GreedyNaive). A stored node id
+// ≥ n fails wrapping ErrSpillFormat.
 func GreedyOutOfCore(n int, col *Collection, k int) (Result, error) {
 	if k > n {
 		k = n
@@ -304,6 +334,9 @@ func GreedyOutOfCore(n int, col *Collection, k int) (Result, error) {
 				}
 			}
 			for _, v := range set {
+				if int64(v) >= int64(n) {
+					return fmt.Errorf("%w: set %d holds node %d, the graph has %d", ErrSpillFormat, i, v, n)
+				}
 				count[v]++
 			}
 			return nil

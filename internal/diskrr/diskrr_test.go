@@ -1,6 +1,7 @@
 package diskrr
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -18,8 +19,7 @@ func spillCollection(t testing.TB, col *diffusion.RRCollection) *Collection {
 		t.Fatal(err)
 	}
 	for i := 0; i < col.Count(); i++ {
-		set := col.Set(i)
-		if err := w.Append(set, diffusion.Width(nil2Graph(), set)); err != nil {
+		if err := w.Append(col.Set(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -31,18 +31,14 @@ func spillCollection(t testing.TB, col *diffusion.RRCollection) *Collection {
 	return disk
 }
 
-// nil2Graph gives Width a graph where every in-degree is zero so spilled
-// widths are zero; width bookkeeping is tested separately.
-func nil2Graph() *graph.Graph { return graph.MustFromEdges(1<<20, nil) }
-
 func TestWriterRoundTrip(t *testing.T) {
 	w, err := NewWriter(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sets := [][]uint32{{1, 2, 3}, {7}, {}, {4, 5}}
-	for i, s := range sets {
-		if err := w.Append(s, int64(i)); err != nil {
+	for _, s := range sets {
+		if err := w.Append(s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,7 +47,7 @@ func TestWriterRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer col.Close()
-	if col.Count() != 4 || col.TotalNodes() != 6 || col.TotalWidth() != 0+1+2+3 {
+	if col.Count() != 4 || col.TotalNodes() != 6 {
 		t.Fatalf("col=%+v", col)
 	}
 	var got [][]uint32
@@ -82,8 +78,8 @@ func TestScanTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = w.Append([]uint32{1}, 0)
-	_ = w.Append([]uint32{2}, 0)
+	_ = w.Append([]uint32{1})
+	_ = w.Append([]uint32{2})
 	col, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +106,7 @@ func TestAppendAfterFinishFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer col.Close()
-	if err := w.Append([]uint32{1}, 0); err == nil {
+	if err := w.Append([]uint32{1}); err == nil {
 		t.Fatal("append after Finish accepted")
 	}
 	if _, err := w.Finish(); err == nil {
@@ -124,7 +120,7 @@ func TestAbortRemovesFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = w.Append([]uint32{1}, 0)
+	_ = w.Append([]uint32{1})
 	w.Abort()
 	// The spill file should be gone; creating a new writer still works.
 	w2, err := NewWriter(dir)
@@ -159,7 +155,7 @@ func TestGreedyOutOfCoreMatchesNaive(t *testing.T) {
 			for v := range seen {
 				s = append(s, v)
 			}
-			col.Append(s, 0)
+			col.Append(s)
 		}
 		k := 1 + r.Intn(n)
 		disk := spillCollection(t, col)
@@ -233,6 +229,29 @@ func TestGreedyOutOfCoreDegenerate(t *testing.T) {
 	}
 }
 
+// TestGreedyOutOfCoreRejectsOutOfRangeID: a stored id ≥ n fails typed
+// instead of indexing past the counters.
+func TestGreedyOutOfCoreRejectsOutOfRangeID(t *testing.T) {
+	w, err := NewWriter(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]uint32{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append([]uint32{2, 5}); err != nil {
+		t.Fatal(err)
+	}
+	col, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	if _, err := GreedyOutOfCore(5, col, 2); !errors.Is(err, ErrSpillFormat) {
+		t.Fatalf("id 5 in a 5-node scan: error %v, want ErrSpillFormat", err)
+	}
+}
+
 func TestBitmap(t *testing.T) {
 	b := newBitmap(130)
 	for _, i := range []int64{0, 1, 63, 64, 127, 129} {
@@ -254,8 +273,8 @@ func TestDiskBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = w.Append([]uint32{1, 2}, 0)
-	_ = w.Append([]uint32{3}, 0)
+	_ = w.Append([]uint32{1, 2})
+	_ = w.Append([]uint32{3})
 	col, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)

@@ -18,19 +18,21 @@ import (
 // This file is the server-facing half of the package: the spill-tier
 // file format the rr-store (internal/server) demotes evicted
 // collections into and promotes them back from. Unlike the Writer/
-// Collection pair above — which streams a single-run collection that
-// dies with the run — a spill-tier file is a complete, self-describing
-// snapshot of an in-memory diffusion.RRCollection plus its per-set
-// widths, pinned to the (graph version, sampling profile, entry seed)
-// it was derived under so a reader can tell exactly what it is holding.
+// Collection pair in diskrr.go — which streams a single-run collection
+// that dies with the run — a spill-tier file is a complete,
+// self-describing snapshot of an in-memory diffusion.RRCollection,
+// pinned to the (graph version, sampling profile, entry seed) it was
+// derived under so a reader can tell exactly what it is holding.
 //
 // Format (all integers little-endian):
 //
-//	magic   8 bytes  "RRSPILL1"
-//	header  6 × u64  version, profile hash, entry seed,
-//	                 set count, total nodes, total width
-//	records count ×  u32 set length | u64 width | length × u32 node ids
+//	magic   8 bytes  "RRSPILL2"
+//	header  5 × u64  version, profile hash, entry seed,
+//	                 set count, total nodes
+//	records count ×  u32 set length | length × u32 node ids
 //
+// The records are exactly the Writer's records; only the header is
+// extra. A file therefore holds 48 + 4·(count + total nodes) bytes.
 // The totals in the header are redundant with the records on purpose:
 // WriteSpill sizes the file exactly, so ReadSpill can verify
 // size(file) == size(header) before allocating anything — a truncated
@@ -45,16 +47,16 @@ import (
 // wrapping ErrSpill, exactly like Writer.
 
 // ErrSpillFormat tags structural spill-file corruption that is not a
-// truncation: a bad magic, totals that disagree with the records, or
-// trailing bytes. The rr-store treats it (like any read failure) as a
-// cache miss: drop the file, resample cold.
+// truncation: a bad magic, totals that disagree with the records,
+// trailing bytes, or a node id outside the graph. The rr-store treats it
+// (like any read failure) as a cache miss: drop the file, resample cold.
 var ErrSpillFormat = errors.New("diskrr: malformed spill file")
 
 // spillMagic identifies (and versions) the spill-tier format.
-const spillMagic = "RRSPILL1"
+const spillMagic = "RRSPILL2"
 
-// spillHeaderSize is magic + six u64 header fields.
-const spillHeaderSize = len(spillMagic) + 6*8
+// spillHeaderSize is magic + five u64 header fields.
+const spillHeaderSize = len(spillMagic) + 5*8
 
 // SpillHeader pins the identity of a spilled collection: the graph
 // version its sets were derived at, the compiled sampling-profile hash
@@ -71,19 +73,16 @@ type SpillHeader struct {
 // spillFileSize is the exact byte size of a spill file holding the
 // given record shape.
 func spillFileSize(count, totalNodes int64) int64 {
-	return int64(spillHeaderSize) + count*12 + totalNodes*4
+	return int64(spillHeaderSize) + 4*(count+totalNodes)
 }
 
-// WriteSpill atomically writes col (with its per-set widths) to path,
-// returning the file's byte size. It goes through the same
-// FaultSpillWrite/FaultSpillSync points as Writer, and on any failure
-// removes its temporary file and returns an error wrapping ErrSpill —
-// never leaving debris, never a half-written file at path.
-func WriteSpill(path string, hdr SpillHeader, col *diffusion.RRCollection, widths []int64) (int64, error) {
+// WriteSpill atomically writes col to path, returning the file's byte
+// size. It goes through the same FaultSpillWrite/FaultSpillSync points
+// as Writer, and on any failure removes its temporary file and returns
+// an error wrapping ErrSpill — never leaving debris, never a
+// half-written file at path.
+func WriteSpill(path string, hdr SpillHeader, col *diffusion.RRCollection) (int64, error) {
 	count := int64(col.Count())
-	if int64(len(widths)) != count {
-		return 0, fmt.Errorf("%w: %d widths for %d sets", ErrSpill, len(widths), count)
-	}
 	f, err := os.CreateTemp(filepath.Dir(path), "rrspill-*.tmp")
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrSpill, err)
@@ -102,36 +101,20 @@ func WriteSpill(path string, hdr SpillHeader, col *diffusion.RRCollection, width
 		_, err := bw.Write(p)
 		return err
 	}
-	var scratch [12]byte
-	u64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		return write(scratch[:8])
-	}
+	var scratch [8]byte
 	if err := write([]byte(spillMagic)); err != nil {
 		return fail(err)
 	}
-	var totalNodes int64
-	for i := int64(0); i < count; i++ {
-		totalNodes += col.Off[i+1] - col.Off[i]
-	}
-	for _, v := range []uint64{hdr.Version, hdr.ProfileHash, hdr.Seed,
-		uint64(count), uint64(totalNodes), uint64(col.TotalWidth)} {
-		if err := u64(v); err != nil {
+	totalNodes := col.TotalNodes()
+	for _, v := range []uint64{hdr.Version, hdr.ProfileHash, hdr.Seed, uint64(count), uint64(totalNodes)} {
+		binary.LittleEndian.PutUint64(scratch[:], v)
+		if err := write(scratch[:]); err != nil {
 			return fail(err)
 		}
 	}
-	for i := int64(0); i < count; i++ {
-		set := col.Flat[col.Off[i]:col.Off[i+1]]
-		binary.LittleEndian.PutUint32(scratch[:4], uint32(len(set)))
-		binary.LittleEndian.PutUint64(scratch[4:12], uint64(widths[i]))
-		if err := write(scratch[:12]); err != nil {
+	for i := 0; i < int(count); i++ {
+		if err := writeRecord(write, scratch[:4], col.Set(i)); err != nil {
 			return fail(err)
-		}
-		for _, v := range set {
-			binary.LittleEndian.PutUint32(scratch[:4], v)
-			if err := write(scratch[:4]); err != nil {
-				return fail(err)
-			}
 		}
 	}
 	if err := fault.Hit(FaultSpillWrite); err != nil {
@@ -158,80 +141,75 @@ func WriteSpill(path string, hdr SpillHeader, col *diffusion.RRCollection, width
 }
 
 // ReadSpill loads a spill file back into a fresh in-memory collection
-// and its per-set widths. Corruption is typed: a file that ends early
+// over a graph of n nodes. Corruption is typed: a file that ends early
 // (at any byte) fails wrapping graph.ErrTruncated; a bad magic,
-// inconsistent totals, or trailing bytes fail wrapping ErrSpillFormat.
-// The file size is checked against the header before any allocation,
-// so a corrupt header cannot trigger a huge allocation.
-func ReadSpill(path string) (SpillHeader, *diffusion.RRCollection, []int64, error) {
+// inconsistent totals, trailing bytes, or a node id ≥ n fail wrapping
+// ErrSpillFormat. The header's totals are checked against the file size
+// before any allocation, so a corrupt header cannot trigger a huge
+// allocation.
+func ReadSpill(path string, n int) (SpillHeader, *diffusion.RRCollection, error) {
 	var hdr SpillHeader
 	f, err := os.Open(path)
 	if err != nil {
-		return hdr, nil, nil, err
+		return hdr, nil, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return hdr, nil, nil, err
+		return hdr, nil, err
 	}
 	if st.Size() < int64(spillHeaderSize) {
-		return hdr, nil, nil, fmt.Errorf("%w: %d-byte spill file is shorter than its header", graph.ErrTruncated, st.Size())
+		return hdr, nil, fmt.Errorf("%w: %d-byte spill file is shorter than its header", graph.ErrTruncated, st.Size())
 	}
 	br := bufio.NewReaderSize(f, 1<<20)
 	raw := make([]byte, spillHeaderSize)
 	if _, err := io.ReadFull(br, raw); err != nil {
-		return hdr, nil, nil, fmt.Errorf("diskrr: reading spill header: %w", truncErr(err))
+		return hdr, nil, fmt.Errorf("diskrr: reading spill header: %w", truncErr(err))
 	}
 	if string(raw[:len(spillMagic)]) != spillMagic {
-		return hdr, nil, nil, fmt.Errorf("%w: bad magic %q", ErrSpillFormat, raw[:len(spillMagic)])
+		return hdr, nil, fmt.Errorf("%w: bad magic %q", ErrSpillFormat, raw[:len(spillMagic)])
 	}
 	u64 := func(i int) uint64 {
 		return binary.LittleEndian.Uint64(raw[len(spillMagic)+8*i:])
 	}
 	hdr = SpillHeader{Version: u64(0), ProfileHash: u64(1), Seed: u64(2)}
-	count, totalNodes, totalWidth := int64(u64(3)), int64(u64(4)), int64(u64(5))
-	if count < 0 || totalNodes < 0 {
-		return hdr, nil, nil, fmt.Errorf("%w: negative counts in header", ErrSpillFormat)
+	// Every record costs at least its 4-byte length and every node id 4
+	// more, so neither total can exceed the body's word count. Bounding
+	// them before spillFileSize multiplies keeps a huge header value from
+	// wrapping around to a size that matches.
+	words := uint64(st.Size()-int64(spillHeaderSize)) / 4
+	if u64(3) > words || u64(4) > words {
+		return hdr, nil, fmt.Errorf("%w: header describes %d sets and %d nodes, the %d-byte file cannot hold them",
+			graph.ErrTruncated, u64(3), u64(4), st.Size())
 	}
+	count, totalNodes := int64(u64(3)), int64(u64(4))
 	switch want := spillFileSize(count, totalNodes); {
 	case st.Size() < want:
-		return hdr, nil, nil, fmt.Errorf("%w: spill file is %d bytes, header describes %d", graph.ErrTruncated, st.Size(), want)
+		return hdr, nil, fmt.Errorf("%w: spill file is %d bytes, header describes %d", graph.ErrTruncated, st.Size(), want)
 	case st.Size() > want:
-		return hdr, nil, nil, fmt.Errorf("%w: %d trailing bytes after the last record", ErrSpillFormat, st.Size()-want)
+		return hdr, nil, fmt.Errorf("%w: %d trailing bytes after the last record", ErrSpillFormat, st.Size()-want)
 	}
 	col := &diffusion.RRCollection{
-		Flat:       make([]uint32, 0, totalNodes),
-		Off:        make([]int64, 1, count+1),
-		TotalWidth: totalWidth,
+		Flat: make([]uint32, 0, totalNodes),
+		Off:  make([]int64, 1, count+1),
 	}
-	widths := make([]int64, 0, count)
-	rec := make([]byte, 12)
-	var sumWidth int64
+	var body []byte
 	for i := int64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, rec); err != nil {
-			return hdr, nil, nil, fmt.Errorf("diskrr: reading spill set %d header: %w", i, truncErr(err))
-		}
-		size := int64(binary.LittleEndian.Uint32(rec))
-		width := int64(binary.LittleEndian.Uint64(rec[4:]))
-		if int64(len(col.Flat))+size > totalNodes {
-			return hdr, nil, nil, fmt.Errorf("%w: set %d overruns the header's node total", ErrSpillFormat, i)
-		}
-		body := make([]byte, 4*size)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return hdr, nil, nil, fmt.Errorf("diskrr: reading spill set %d body (%d nodes): %w", i, size, truncErr(err))
-		}
-		for j := int64(0); j < size; j++ {
-			col.Flat = append(col.Flat, binary.LittleEndian.Uint32(body[4*j:]))
+		col.Flat, body, err = readRecord(br, i, totalNodes-int64(len(col.Flat)), col.Flat, body)
+		if err != nil {
+			return hdr, nil, err
 		}
 		col.Off = append(col.Off, int64(len(col.Flat)))
-		widths = append(widths, width)
-		sumWidth += width
 	}
-	if int64(len(col.Flat)) != totalNodes || sumWidth != totalWidth {
-		return hdr, nil, nil, fmt.Errorf("%w: record totals disagree with header (nodes %d/%d, width %d/%d)",
-			ErrSpillFormat, len(col.Flat), totalNodes, sumWidth, totalWidth)
+	if int64(len(col.Flat)) != totalNodes {
+		return hdr, nil, fmt.Errorf("%w: records hold %d nodes, header says %d", ErrSpillFormat, len(col.Flat), totalNodes)
 	}
-	return hdr, col, widths, nil
+	for i, v := range col.Flat {
+		if int64(v) >= int64(n) {
+			return hdr, nil, fmt.Errorf("%w: node id %d at position %d is outside the %d-node graph", ErrSpillFormat, v, i, n)
+		}
+	}
+	return hdr, col, nil
 }
 
 // PurgeSpillDir removes every spill-tier artifact in dir — finished

@@ -1,6 +1,7 @@
 package diskrr
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -12,34 +13,25 @@ import (
 	"repro/internal/graph"
 )
 
+// testNodes is the node count ReadSpill validates testCollection's ids
+// against: one more than the largest id it holds.
+const testNodes = 10
+
 // testCollection builds a small in-memory collection with varied set
-// sizes (including an empty set) and per-set widths distinct from the
-// set lengths, so a width/length mixup cannot round-trip.
-func testCollection() (*diffusion.RRCollection, []int64) {
-	sets := [][]uint32{
-		{3, 1, 4},
-		{},
-		{1, 5, 9, 2, 6},
-		{7},
-		{2, 8, 2, 8},
-	}
+// sizes, including an empty set (a header-only record).
+func testCollection() *diffusion.RRCollection {
 	col := &diffusion.RRCollection{Off: []int64{0}}
-	widths := make([]int64, 0, len(sets))
-	for i, s := range sets {
-		col.Flat = append(col.Flat, s...)
-		col.Off = append(col.Off, int64(len(col.Flat)))
-		w := int64(10*i + len(s))
-		widths = append(widths, w)
-		col.TotalWidth += w
+	for _, s := range spillSets() {
+		col.Append(s)
 	}
-	return col, widths
+	return col
 }
 
 func TestSpillRoundTrip(t *testing.T) {
-	col, widths := testCollection()
+	col := testCollection()
 	hdr := SpillHeader{Version: 7, ProfileHash: 0xabcdef, Seed: 42}
 	path := filepath.Join(t.TempDir(), "rrspill-test.bin")
-	bytes, err := WriteSpill(path, hdr, col, widths)
+	bytes, err := WriteSpill(path, hdr, col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +42,10 @@ func TestSpillRoundTrip(t *testing.T) {
 	if st.Size() != bytes {
 		t.Fatalf("WriteSpill reported %d bytes, file is %d", bytes, st.Size())
 	}
-	gotHdr, gotCol, gotWidths, err := ReadSpill(path)
+	if want := int64(spillHeaderSize) + 4*int64(col.Count()) + 4*col.TotalNodes(); bytes != want {
+		t.Fatalf("spill file is %d bytes, want header + 4·(sets + nodes) = %d", bytes, want)
+	}
+	gotHdr, gotCol, err := ReadSpill(path, testNodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +56,40 @@ func TestSpillRoundTrip(t *testing.T) {
 		t.Fatalf("collection round trip: got (%v, %v), want (%v, %v)",
 			gotCol.Flat, gotCol.Off, col.Flat, col.Off)
 	}
-	if gotCol.TotalWidth != col.TotalWidth {
-		t.Fatalf("TotalWidth round trip: got %d, want %d", gotCol.TotalWidth, col.TotalWidth)
+}
+
+// TestSpillRecordsMatchWriter: past the spill header, a spill file is
+// byte for byte what the offline Writer streams for the same sets — the
+// two formats share one record layout.
+func TestSpillRecordsMatchWriter(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rrspill-records.bin")
+	if _, err := WriteSpill(path, SpillHeader{Version: 1}, testCollection()); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotWidths, widths) {
-		t.Fatalf("widths round trip: got %v, want %v", gotWidths, widths)
+	spilled, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWriter(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range spillSets() {
+		if err := w.Append(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	disk, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	offline, err := os.ReadFile(disk.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(spilled[spillHeaderSize:], offline) {
+		t.Fatalf("spill records differ from the Writer's:\nspill:   %v\noffline: %v", spilled[spillHeaderSize:], offline)
 	}
 }
 
@@ -74,15 +98,15 @@ func TestSpillRoundTrip(t *testing.T) {
 func TestSpillEmptyCollection(t *testing.T) {
 	col := &diffusion.RRCollection{Off: []int64{0}}
 	path := filepath.Join(t.TempDir(), "rrspill-empty.bin")
-	if _, err := WriteSpill(path, SpillHeader{Version: 1}, col, nil); err != nil {
+	if _, err := WriteSpill(path, SpillHeader{Version: 1}, col); err != nil {
 		t.Fatal(err)
 	}
-	hdr, gotCol, gotWidths, err := ReadSpill(path)
+	hdr, gotCol, err := ReadSpill(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Version != 1 || gotCol.Count() != 0 || len(gotWidths) != 0 {
-		t.Fatalf("empty round trip: hdr %+v, %d sets, %d widths", hdr, gotCol.Count(), len(gotWidths))
+	if hdr.Version != 1 || gotCol.Count() != 0 {
+		t.Fatalf("empty round trip: hdr %+v, %d sets", hdr, gotCol.Count())
 	}
 }
 
@@ -90,9 +114,8 @@ func TestSpillEmptyCollection(t *testing.T) {
 // length: ReadSpill must fail wrapping graph.ErrTruncated at each —
 // never succeed on partial data, never panic, never return untyped.
 func TestSpillReadTruncationEveryByte(t *testing.T) {
-	col, widths := testCollection()
 	path := filepath.Join(t.TempDir(), "rrspill-clip.bin")
-	size, err := WriteSpill(path, SpillHeader{Version: 3, Seed: 9}, col, widths)
+	size, err := WriteSpill(path, SpillHeader{Version: 3, Seed: 9}, testCollection())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +127,7 @@ func TestSpillReadTruncationEveryByte(t *testing.T) {
 		if err := os.WriteFile(path, original[:clip], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, err := ReadSpill(path)
+		_, _, err := ReadSpill(path, testNodes)
 		if err == nil {
 			t.Fatalf("clip %d: truncated read succeeded", clip)
 		}
@@ -117,10 +140,9 @@ func TestSpillReadTruncationEveryByte(t *testing.T) {
 // TestSpillReadFormatErrors: structural corruption that is not a
 // truncation fails wrapping ErrSpillFormat.
 func TestSpillReadFormatErrors(t *testing.T) {
-	col, widths := testCollection()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "rrspill-corrupt.bin")
-	if _, err := WriteSpill(path, SpillHeader{}, col, widths); err != nil {
+	if _, err := WriteSpill(path, SpillHeader{}, testCollection()); err != nil {
 		t.Fatal(err)
 	}
 	original, err := os.ReadFile(path)
@@ -133,7 +155,7 @@ func TestSpillReadFormatErrors(t *testing.T) {
 		if err := os.WriteFile(path, mutate(append([]byte(nil), original...)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, err := ReadSpill(path)
+		_, _, err := ReadSpill(path, testNodes)
 		if !errors.Is(err, ErrSpillFormat) {
 			t.Fatalf("%s: error %v does not wrap ErrSpillFormat", name, err)
 		}
@@ -144,6 +166,81 @@ func TestSpillReadFormatErrors(t *testing.T) {
 	// totals (the file size check still passes, so this exercises the
 	// per-record validation).
 	check("length mismatch", func(b []byte) []byte { b[spillHeaderSize] ^= 0x01; return b })
+	// The first set's first id (3) becomes the node count itself: one past
+	// the last valid id.
+	check("id out of range", func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[spillHeaderSize+4:], testNodes)
+		return b
+	})
+}
+
+// overflowHeader is a header-only spill file whose set count is 2^62:
+// 4·2^62 wraps a 64-bit size computation to exactly 0, so a reader that
+// multiplies before bounding sees a file of the expected size and sizes
+// its offset array by the bogus count.
+func overflowHeader() []byte {
+	b := make([]byte, spillHeaderSize)
+	copy(b, spillMagic)
+	binary.LittleEndian.PutUint64(b[len(spillMagic)+3*8:], 1<<62)
+	return b
+}
+
+// TestSpillReadOverflowHeader: the wrapping header fails typed instead of
+// reaching an allocation.
+func TestSpillReadOverflowHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rrspill-overflow.bin")
+	if err := os.WriteFile(path, overflowHeader(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := ReadSpill(path, testNodes)
+	if !errors.Is(err, graph.ErrTruncated) && !errors.Is(err, ErrSpillFormat) {
+		t.Fatalf("overflow header: error %v is untyped", err)
+	}
+}
+
+// FuzzReadSpill: every input either fails typed (graph.ErrTruncated or
+// ErrSpillFormat) or decodes into a valid collection — offsets rising
+// from 0 to the arena length, every id below n. No input may panic.
+func FuzzReadSpill(f *testing.F) {
+	dir := f.TempDir()
+	valid := filepath.Join(dir, "rrspill-seed.bin")
+	if _, err := WriteSpill(valid, SpillHeader{Version: 2, Seed: 5}, testCollection()); err != nil {
+		f.Fatal(err)
+	}
+	seed, err := os.ReadFile(valid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed, uint16(testNodes))
+	f.Add([]byte{}, uint16(testNodes))
+	f.Add(overflowHeader(), uint16(testNodes))
+
+	path := filepath.Join(dir, "rrspill-fuzz.bin")
+	f.Fuzz(func(t *testing.T, data []byte, n uint16) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, col, err := ReadSpill(path, int(n))
+		if err != nil {
+			if !errors.Is(err, graph.ErrTruncated) && !errors.Is(err, ErrSpillFormat) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if len(col.Off) == 0 || col.Off[0] != 0 || col.Off[len(col.Off)-1] != int64(len(col.Flat)) {
+			t.Fatalf("offsets %v do not span the %d-id arena", col.Off, len(col.Flat))
+		}
+		for i := 1; i < len(col.Off); i++ {
+			if col.Off[i] < col.Off[i-1] {
+				t.Fatalf("offsets fall at set %d: %v", i, col.Off)
+			}
+		}
+		for _, v := range col.Flat {
+			if int(v) >= int(n) {
+				t.Fatalf("id %d outside the %d-node graph", v, n)
+			}
+		}
+	})
 }
 
 // TestWriteSpillFailureEveryPrefix injects a write failure at every
@@ -154,12 +251,12 @@ func TestSpillReadFormatErrors(t *testing.T) {
 func TestWriteSpillFailureEveryPrefix(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	boom := errors.New("injected: disk full")
-	col, widths := testCollection()
+	col := testCollection()
 
 	h, hits := fault.Counting(func() error { return nil })
 	fault.Set(FaultSpillWrite, h)
 	cleanDir := t.TempDir()
-	if _, err := WriteSpill(filepath.Join(cleanDir, "rrspill-a.bin"), SpillHeader{}, col, widths); err != nil {
+	if _, err := WriteSpill(filepath.Join(cleanDir, "rrspill-a.bin"), SpillHeader{}, col); err != nil {
 		t.Fatalf("clean write failed: %v", err)
 	}
 	fault.Reset()
@@ -172,7 +269,7 @@ func TestWriteSpillFailureEveryPrefix(t *testing.T) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "rrspill-b.bin")
 		fault.Set(FaultSpillWrite, fault.FailOn(n, boom))
-		_, err := WriteSpill(path, SpillHeader{}, col, widths)
+		_, err := WriteSpill(path, SpillHeader{}, col)
 		fault.Reset()
 		if !errors.Is(err, ErrSpill) {
 			t.Fatalf("n=%d: error %v does not wrap ErrSpill", n, err)
@@ -180,7 +277,7 @@ func TestWriteSpillFailureEveryPrefix(t *testing.T) {
 		if left := dirEntries(t, dir); len(left) != 0 {
 			t.Fatalf("n=%d: failed spill left %v", n, left)
 		}
-		if _, err := WriteSpill(path, SpillHeader{}, col, widths); err != nil {
+		if _, err := WriteSpill(path, SpillHeader{}, col); err != nil {
 			t.Fatalf("n=%d: clean retry failed: %v", n, err)
 		}
 	}
@@ -188,7 +285,7 @@ func TestWriteSpillFailureEveryPrefix(t *testing.T) {
 	// The sync point too: all bytes written, durability step fails.
 	dir := t.TempDir()
 	fault.Set(FaultSpillSync, fault.FailOn(0, boom))
-	_, err := WriteSpill(filepath.Join(dir, "rrspill-c.bin"), SpillHeader{}, col, widths)
+	_, err := WriteSpill(filepath.Join(dir, "rrspill-c.bin"), SpillHeader{}, col)
 	fault.Reset()
 	if !errors.Is(err, ErrSpill) {
 		t.Fatalf("sync failure: error %v does not wrap ErrSpill", err)

@@ -31,7 +31,7 @@ func runSpill(t *testing.T, dir string) error {
 		t.Fatal(err)
 	}
 	for _, set := range spillSets() {
-		if err := w.Append(set, int64(len(set))); err != nil {
+		if err := w.Append(set); err != nil {
 			return err
 		}
 	}
@@ -79,7 +79,7 @@ func TestSpillWriteFailureEveryPrefix(t *testing.T) {
 		}
 		var ferr error
 		for _, set := range spillSets() {
-			if ferr = w.Append(set, int64(len(set))); ferr != nil {
+			if ferr = w.Append(set); ferr != nil {
 				break
 			}
 		}
@@ -105,7 +105,7 @@ func TestSpillWriteFailureEveryPrefix(t *testing.T) {
 			t.Fatalf("n=%d: failed spill left partial files %v", n, left)
 		}
 		// The writer is dead: later calls return the sticky typed error.
-		if err := w.Append([]uint32{1}, 1); !errors.Is(err, ErrSpill) {
+		if err := w.Append([]uint32{1}); !errors.Is(err, ErrSpill) {
 			t.Fatalf("n=%d: Append after failure = %v, want ErrSpill", n, err)
 		}
 		if _, err := w.Finish(); !errors.Is(err, ErrSpill) {
@@ -133,7 +133,7 @@ func TestSpillSyncFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, set := range spillSets() {
-		if err := w.Append(set, int64(len(set))); err != nil {
+		if err := w.Append(set); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}

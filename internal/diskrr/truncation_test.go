@@ -18,7 +18,7 @@ func buildSpill(t *testing.T) (*Collection, string, int64) {
 	}
 	sets := [][]uint32{{1, 2, 3}, {4}, {5, 6}, {7, 8, 9, 10}}
 	for _, s := range sets {
-		if err := w.Append(s, int64(len(s))); err != nil {
+		if err := w.Append(s); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -63,16 +63,15 @@ func (s *sampler) nextEpoch() {
 }
 
 // sample generates RR set rrID of the batch keyed by batchSeed, appends
-// its members to dst, and returns the extended slice and the set width.
-func (s *sampler) sample(batchSeed, rrID uint64, dst []uint32) ([]uint32, int64) {
+// its members to dst, and returns the extended slice.
+func (s *sampler) sample(batchSeed, rrID uint64, dst []uint32) []uint32 {
 	s.r.Seed(combine(batchSeed, rrID))
 	root := uint32(s.r.Uint64n(uint64(s.g.N())))
 	start := len(dst)
-	var width int64
 	if s.kind == diffusion.LT {
-		dst, width = s.sampleLT(batchSeed, rrID, root, dst)
+		dst = s.sampleLT(batchSeed, rrID, root, dst)
 	} else {
-		dst, width = s.sampleIC(batchSeed, rrID, root, dst)
+		dst = s.sampleIC(batchSeed, rrID, root, dst)
 	}
 	// The completed set ships from the root's machine to the coordinator
 	// (machine 0) for the cover phase.
@@ -80,7 +79,7 @@ func (s *sampler) sample(batchSeed, rrID uint64, dst []uint32) ([]uint32, int64)
 		s.net.Messages++
 		s.net.Bytes += msgEnvelopeBytes + int64(len(dst)-start)*nodeIDBytes
 	}
-	return dst, width
+	return dst
 }
 
 // expand accounts one retained BFS edge v→u: if u lives on another
@@ -93,17 +92,15 @@ func (s *sampler) expand(v, u uint32) {
 	}
 }
 
-func (s *sampler) sampleIC(batchSeed, rrID uint64, root uint32, dst []uint32) ([]uint32, int64) {
+func (s *sampler) sampleIC(batchSeed, rrID uint64, root uint32, dst []uint32) []uint32 {
 	s.nextEpoch()
 	g, mark, epoch := s.g, s.mark, s.epoch
 	start := len(dst)
 	mark[root] = epoch
 	dst = append(dst, root)
-	var width int64
 	for head := start; head < len(dst); head++ {
 		v := dst[head]
 		src, w := g.InNeighbors(v)
-		width += int64(len(src))
 		s.r.Seed(combine(batchSeed, rrID, uint64(v)))
 		for i := range src {
 			u := src[i]
@@ -120,21 +117,19 @@ func (s *sampler) sampleIC(batchSeed, rrID uint64, root uint32, dst []uint32) ([
 			}
 		}
 	}
-	return dst, width
+	return dst
 }
 
-func (s *sampler) sampleLT(batchSeed, rrID uint64, root uint32, dst []uint32) ([]uint32, int64) {
+func (s *sampler) sampleLT(batchSeed, rrID uint64, root uint32, dst []uint32) []uint32 {
 	s.nextEpoch()
 	g, mark, epoch := s.g, s.mark, s.epoch
 	mark[root] = epoch
 	dst = append(dst, root)
-	var width int64
 	v := root
 	for {
 		src, w := g.InNeighbors(v)
-		width += int64(len(src))
 		if len(src) == 0 {
-			return dst, width
+			return dst
 		}
 		s.r.Seed(combine(batchSeed, rrID, uint64(v)))
 		x := s.r.Float32()
@@ -150,7 +145,7 @@ func (s *sampler) sampleLT(batchSeed, rrID uint64, root uint32, dst []uint32) ([
 			}
 		}
 		if !found || mark[next] == epoch {
-			return dst, width
+			return dst
 		}
 		mark[next] = epoch
 		dst = append(dst, next)
@@ -190,9 +185,8 @@ func sampleBatch(g *graph.Graph, kind diffusion.Kind, part partitioner, batchSee
 			col := &diffusion.RRCollection{Off: make([]int64, 1, hi-lo+1)}
 			var buf []uint32
 			for id := lo; id < hi; id++ {
-				var width int64
-				buf, width = s.sample(batchSeed, uint64(id), buf[:0])
-				col.Append(buf, width)
+				buf = s.sample(batchSeed, uint64(id), buf[:0])
+				col.Append(buf)
 			}
 			parts[w] = col
 			nets[w] = s.net
@@ -245,7 +239,7 @@ func Maximize(g *graph.Graph, model diffusion.Model, opts Options) (*Result, err
 		col, net := sampleBatch(g, kind, part, nextBatch(), ci)
 		res.Net.add(net)
 		lastBatch = col
-		sum := tim.KappaSum(g, col, opts.K, m)
+		sum, _ := tim.KappaSum(g, col, opts.K, m)
 		if avg := sum / float64(ci); avg > math.Pow(2, -float64(i)) {
 			kptStar = float64(n) * sum / (2 * float64(ci))
 			break

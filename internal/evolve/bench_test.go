@@ -38,8 +38,7 @@ func BenchmarkRepairVsResample(b *testing.B) {
 		eg := New(g0, WeightedCascade{}, Options{})
 		snap, _ := eg.Snapshot()
 		col := &diffusion.RRCollection{Off: []int64{0}}
-		widths, err := diffusion.ExtendCollection(context.Background(), snap, model, col, theta, seed, 0, nil)
-		if err != nil {
+		if err := diffusion.ExtendCollection(context.Background(), snap, model, col, theta, seed, 0); err != nil {
 			b.Fatal(err)
 		}
 		r := rng.New(7)
@@ -67,7 +66,7 @@ func BenchmarkRepairVsResample(b *testing.B) {
 		b.Run(fmt.Sprintf("repair/frac=%g", frac), func(b *testing.B) {
 			var repaired int64
 			for i := 0; i < b.N; i++ {
-				_, _, stats, err := Repair(context.Background(), snap2, model, col, widths, delta, seed, 0)
+				_, stats, err := Repair(context.Background(), snap2, model, col, delta, seed, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -79,7 +78,7 @@ func BenchmarkRepairVsResample(b *testing.B) {
 		b.Run(fmt.Sprintf("resample/frac=%g", frac), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cold := &diffusion.RRCollection{Off: []int64{0}}
-				if _, err := diffusion.ExtendCollection(context.Background(), snap2, model, cold, theta, seed, 0, nil); err != nil {
+				if err := diffusion.ExtendCollection(context.Background(), snap2, model, cold, theta, seed, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -21,21 +21,20 @@ import (
 // exploits that: after a graph mutation, re-deriving set i from its own
 // stream on the new snapshot yields exactly the set a cold sampler would
 // have produced, so a collection where only the affected sets are
-// re-derived is bit-identical — members, order, widths — to one sampled
-// from scratch on the mutated graph.
+// re-derived is bit-identical — members and order — to one sampled from
+// scratch on the mutated graph.
 //
 // Which sets are affected? Reverse-reachable sampling only ever examines
 // the in-edge lists of nodes already in the set. A mutation on edge u→v
 // (insert, delete, or reweight) changes v's in-edge list and nothing
 // else, so a set that does not contain v replays identically: same
-// traversal, same coin flips, same width. A set that does contain v must
-// be re-derived — even when the mutated edge's coin "would not have
+// traversal, same coin flips. A set that does contain v must be
+// re-derived — even when the mutated edge's coin "would not have
 // mattered" — because the sampler consumes its stream sequentially and
-// any change to v's in-list shifts every subsequent draw (and the set's
-// width, which counts the in-degrees of its members, changes
-// regardless). Node growth additionally perturbs the root draw
-// r.Intn(n): Repair replays that first draw under both node counts and
-// keeps a set only when the root and the post-draw stream state agree.
+// any change to v's in-list shifts every subsequent draw. Node growth
+// additionally perturbs the root draw r.Intn(n): Repair replays that
+// first draw under both node counts and keeps a set only when the root
+// and the post-draw stream state agree.
 // DESIGN.md §8.3 gives the full argument, including why per-trace
 // deletion tracking cannot be tightened further without abandoning
 // bit-identity.
@@ -61,13 +60,11 @@ type RepairStats struct {
 
 // Repair returns a collection bit-identical to what ExtendCollection
 // would sample cold on g (the post-mutation snapshot) with the same seed
-// and count, re-deriving only the sets delta could have affected. widths
-// must hold the per-set widths of col (as ExtendCollection reported
-// them); the repaired per-set widths are returned alongside the repaired
-// collection. col and widths are never mutated. The model must be IC or
-// LT; g.N() must equal delta.NAfter.
-func Repair(ctx context.Context, g *graph.Graph, model diffusion.Model, col *diffusion.RRCollection, widths []int64, delta Delta, seed uint64, workers int) (*diffusion.RRCollection, []int64, RepairStats, error) {
-	return RepairConfig(ctx, g, model, diffusion.SampleConfig{}, col, widths, delta, seed, workers)
+// and count, re-deriving only the sets delta could have affected. col is
+// never mutated. The model must be IC or LT; g.N() must equal
+// delta.NAfter.
+func Repair(ctx context.Context, g *graph.Graph, model diffusion.Model, col *diffusion.RRCollection, delta Delta, seed uint64, workers int) (*diffusion.RRCollection, RepairStats, error) {
+	return RepairConfig(ctx, g, model, diffusion.SampleConfig{}, col, delta, seed, workers)
 }
 
 // RepairConfig is Repair for collections sampled under a constrained
@@ -79,19 +76,16 @@ func Repair(ctx context.Context, g *graph.Graph, model diffusion.Model, col *dif
 // requires root draws to be graph-independent, so under node growth only
 // uniform-root (cfg.Roots == nil) collections need the root-instability
 // check; weighted collections skip it entirely.
-func RepairConfig(ctx context.Context, g *graph.Graph, model diffusion.Model, cfg diffusion.SampleConfig, col *diffusion.RRCollection, widths []int64, delta Delta, seed uint64, workers int) (*diffusion.RRCollection, []int64, RepairStats, error) {
+func RepairConfig(ctx context.Context, g *graph.Graph, model diffusion.Model, cfg diffusion.SampleConfig, col *diffusion.RRCollection, delta Delta, seed uint64, workers int) (*diffusion.RRCollection, RepairStats, error) {
 	var stats RepairStats
 	switch model.Kind() {
 	case diffusion.IC, diffusion.LT:
 	default:
-		return nil, nil, stats, fmt.Errorf("%w: %v", ErrUnsupportedModel, model)
+		return nil, stats, fmt.Errorf("%w: %v", ErrUnsupportedModel, model)
 	}
 	count := col.Count()
-	if len(widths) != count {
-		return nil, nil, stats, fmt.Errorf("evolve: %d widths for %d sets", len(widths), count)
-	}
 	if g.N() != delta.NAfter {
-		return nil, nil, stats, fmt.Errorf("evolve: snapshot has %d nodes, delta says %d", g.N(), delta.NAfter)
+		return nil, stats, fmt.Errorf("evolve: snapshot has %d nodes, delta says %d", g.N(), delta.NAfter)
 	}
 	stats.Sets = int64(count)
 	span := obs.StartSpan(ctx, "rr.repair")
@@ -100,7 +94,7 @@ func RepairConfig(ctx context.Context, g *graph.Graph, model diffusion.Model, cf
 			Attr("reused", stats.Reused).Attr("root_changed", stats.RootChanged).End()
 	}()
 	if count == 0 {
-		return &diffusion.RRCollection{Off: []int64{0}}, nil, stats, nil
+		return &diffusion.RRCollection{Off: []int64{0}}, stats, nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -117,7 +111,6 @@ func RepairConfig(ctx context.Context, g *graph.Graph, model diffusion.Model, cf
 	// in parallel. Chunking is arbitrary — each set's bytes depend only on
 	// (seed, index, g) — so the result is worker-count independent.
 	newSets := make([][]uint32, len(todo))
-	newWidths := make([]int64, len(todo))
 	if len(todo) > 0 {
 		if workers > len(todo) {
 			workers = len(todo)
@@ -145,16 +138,14 @@ func RepairConfig(ctx context.Context, g *graph.Graph, model diffusion.Model, cf
 					}
 					idx := todo[j]
 					base.SplitInto(uint64(idx), &stream)
-					set, width := sampler.Sample(&stream, nil)
-					newSets[j] = set
-					newWidths[j] = width
+					newSets[j] = sampler.Sample(&stream, nil)
 				}
 			}(lo, hi)
 		}
 		wg.Wait()
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return nil, nil, stats, err
+				return nil, stats, err
 			}
 		}
 	}
@@ -171,21 +162,17 @@ func RepairConfig(ctx context.Context, g *graph.Graph, model diffusion.Model, cf
 		Flat: make([]uint32, 0, flatLen),
 		Off:  make([]int64, 1, count+1),
 	}
-	outWidths := make([]int64, count)
 	next := 0 // next entry of todo to splice
 	for i := 0; i < count; i++ {
 		if next < len(todo) && int(todo[next]) == i {
 			out.Flat = append(out.Flat, newSets[next]...)
-			outWidths[i] = newWidths[next]
 			next++
 		} else {
 			out.Flat = append(out.Flat, col.Set(i)...)
-			outWidths[i] = widths[i]
 		}
 		out.Off = append(out.Off, int64(len(out.Flat)))
-		out.TotalWidth += outWidths[i]
 	}
-	return out, outWidths, stats, nil
+	return out, stats, nil
 }
 
 // AffectedSets returns, ascending, the indices of the sets an exact

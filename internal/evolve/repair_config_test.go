@@ -13,14 +13,13 @@ import (
 
 // sampleColdConfig draws count sets under cfg exactly the way the reuse
 // layer does for constrained profiles.
-func sampleColdConfig(t *testing.T, g *graph.Graph, model diffusion.Model, cfg diffusion.SampleConfig, count int64) (*diffusion.RRCollection, []int64) {
+func sampleColdConfig(t *testing.T, g *graph.Graph, model diffusion.Model, cfg diffusion.SampleConfig, count int64) *diffusion.RRCollection {
 	t.Helper()
 	col := &diffusion.RRCollection{Off: []int64{0}}
-	widths, err := diffusion.ExtendCollectionConfig(context.Background(), g, model, cfg, col, count, repairSeed, 3, nil)
-	if err != nil {
+	if err := diffusion.ExtendCollectionConfig(context.Background(), g, model, cfg, col, count, repairSeed, 3); err != nil {
 		t.Fatal(err)
 	}
-	return col, widths
+	return col
 }
 
 // TestRepairConfigMatchesColdSample extends the subsystem's core
@@ -71,7 +70,7 @@ func TestRepairConfigMatchesColdSample(t *testing.T) {
 			}
 			eg := New(g, policy, Options{})
 			snap, _ := eg.Snapshot()
-			col, widths := sampleColdConfig(t, snap, tc.model, cfg, theta)
+			col := sampleColdConfig(t, snap, tc.model, cfg, theta)
 
 			prev := eg.Version()
 			batches := 6
@@ -90,19 +89,18 @@ func TestRepairConfigMatchesColdSample(t *testing.T) {
 				prev = eg.Version()
 				snap, _ = eg.Snapshot()
 
-				newCol, newWidths, stats, err := RepairConfig(context.Background(), snap, tc.model, cfg, col, widths, delta, repairSeed, 3)
+				newCol, stats, err := RepairConfig(context.Background(), snap, tc.model, cfg, col, delta, repairSeed, 3)
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 				if cfg.Roots != nil && delta.NBefore != delta.NAfter && stats.RootChanged != 0 {
 					t.Fatalf("step %d: weighted roots flagged %d root-unstable sets", step, stats.RootChanged)
 				}
-				coldCol, coldWidths := sampleColdConfig(t, snap, tc.model, cfg, theta)
-				compareCollections(t, tc.name, newCol, coldCol, newWidths, coldWidths)
+				compareCollections(t, tc.name, newCol, sampleColdConfig(t, snap, tc.model, cfg, theta))
 				if stats.Repaired+stats.Reused != stats.Sets || stats.Sets != theta {
 					t.Fatalf("step %d: inconsistent stats %+v", step, stats)
 				}
-				col, widths = newCol, newWidths
+				col = newCol
 			}
 		})
 	}
@@ -116,7 +114,7 @@ func TestRepairConfigDefaultMatchesRepair(t *testing.T) {
 	graph.AssignWeightedCascade(g)
 	eg := New(g, WeightedCascade{}, Options{})
 	snap, _ := eg.Snapshot()
-	col, widths := sampleCold(t, snap, diffusion.NewIC(), 400)
+	col := sampleCold(t, snap, diffusion.NewIC(), 400)
 	if _, err := eg.Apply(randomBatch(r, eg, true)); err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +123,13 @@ func TestRepairConfigDefaultMatchesRepair(t *testing.T) {
 		t.Fatal("delta unavailable")
 	}
 	snap, _ = eg.Snapshot()
-	a, aw, _, err := Repair(context.Background(), snap, diffusion.NewIC(), col, widths, delta, repairSeed, 2)
+	a, _, err := Repair(context.Background(), snap, diffusion.NewIC(), col, delta, repairSeed, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, bw, _, err := RepairConfig(context.Background(), snap, diffusion.NewIC(), diffusion.SampleConfig{}, col, widths, delta, repairSeed, 2)
+	b, _, err := RepairConfig(context.Background(), snap, diffusion.NewIC(), diffusion.SampleConfig{}, col, delta, repairSeed, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareCollections(t, "zero-config", b, a, bw, aw)
+	compareCollections(t, "zero-config", b, a)
 }

@@ -13,25 +13,20 @@ import (
 
 const repairSeed = 424242
 
-// sampleCold draws count sets on g exactly the way the reuse layer does,
-// returning the collection and per-set widths.
-func sampleCold(t *testing.T, g *graph.Graph, model diffusion.Model, count int64) (*diffusion.RRCollection, []int64) {
+// sampleCold draws count sets on g exactly the way the reuse layer does.
+func sampleCold(t *testing.T, g *graph.Graph, model diffusion.Model, count int64) *diffusion.RRCollection {
 	t.Helper()
 	col := &diffusion.RRCollection{Off: []int64{0}}
-	widths, err := diffusion.ExtendCollection(context.Background(), g, model, col, count, repairSeed, 3, nil)
-	if err != nil {
+	if err := diffusion.ExtendCollection(context.Background(), g, model, col, count, repairSeed, 3); err != nil {
 		t.Fatal(err)
 	}
-	return col, widths
+	return col
 }
 
-func compareCollections(t *testing.T, label string, got, want *diffusion.RRCollection, gotW, wantW []int64) {
+func compareCollections(t *testing.T, label string, got, want *diffusion.RRCollection) {
 	t.Helper()
 	if got.Count() != want.Count() {
 		t.Fatalf("%s: %d sets vs %d", label, got.Count(), want.Count())
-	}
-	if got.TotalWidth != want.TotalWidth {
-		t.Fatalf("%s: total width %d vs %d", label, got.TotalWidth, want.TotalWidth)
 	}
 	for i := range want.Off {
 		if got.Off[i] != want.Off[i] {
@@ -41,14 +36,6 @@ func compareCollections(t *testing.T, label string, got, want *diffusion.RRColle
 	for i := range want.Flat {
 		if got.Flat[i] != want.Flat[i] {
 			t.Fatalf("%s: flat[%d]: %d vs %d", label, i, got.Flat[i], want.Flat[i])
-		}
-	}
-	if len(gotW) != len(wantW) {
-		t.Fatalf("%s: %d widths vs %d", label, len(gotW), len(wantW))
-	}
-	for i := range wantW {
-		if gotW[i] != wantW[i] {
-			t.Fatalf("%s: width[%d]: %d vs %d", label, i, gotW[i], wantW[i])
 		}
 	}
 }
@@ -129,8 +116,8 @@ func randomBatch(r *rng.Rand, eg *Graph, growNodes bool) Batch {
 
 // TestRepairMatchesColdSample is the subsystem's core guarantee: after
 // every one of a sequence of random mutation batches, the incrementally
-// repaired collection is bit-identical — members, order, offsets, widths
-// — to a collection sampled cold on the mutated snapshot, and the
+// repaired collection is bit-identical — members, order, offsets — to a
+// collection sampled cold on the mutated snapshot, and the
 // repaired-set counter matches the independently computed affected bound.
 // Run with -race in CI.
 func TestRepairMatchesColdSample(t *testing.T) {
@@ -169,7 +156,7 @@ func TestRepairMatchesColdSample(t *testing.T) {
 			tc.weight(g)
 			eg := New(g, tc.policy, Options{})
 			snap, _ := eg.Snapshot()
-			col, widths := sampleCold(t, snap, tc.model, theta)
+			col := sampleCold(t, snap, tc.model, theta)
 
 			prev := eg.Version()
 			batches := 10
@@ -189,7 +176,7 @@ func TestRepairMatchesColdSample(t *testing.T) {
 				snap, _ = eg.Snapshot()
 
 				bound := affectedBound(col, delta)
-				newCol, newWidths, stats, err := Repair(context.Background(), snap, tc.model, col, widths, delta, repairSeed, 3)
+				newCol, stats, err := Repair(context.Background(), snap, tc.model, col, delta, repairSeed, 3)
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
@@ -199,10 +186,8 @@ func TestRepairMatchesColdSample(t *testing.T) {
 				if stats.Repaired+stats.Reused != stats.Sets || stats.Sets != theta {
 					t.Fatalf("step %d: inconsistent stats %+v", step, stats)
 				}
-				col, widths = newCol, newWidths
-
-				coldCol, coldWidths := sampleCold(t, snap, tc.model, theta)
-				compareCollections(t, tc.name, col, coldCol, widths, coldWidths)
+				col = newCol
+				compareCollections(t, tc.name, col, sampleCold(t, snap, tc.model, theta))
 			}
 		})
 	}
@@ -216,39 +201,36 @@ func TestRepairWorkerIndependence(t *testing.T) {
 	graph.AssignWeightedCascade(g)
 	eg := New(g, WeightedCascade{}, Options{})
 	snap, _ := eg.Snapshot()
-	col, widths := sampleCold(t, snap, diffusion.NewIC(), 600)
+	col := sampleCold(t, snap, diffusion.NewIC(), 600)
 	if _, err := eg.Apply(randomBatch(r, eg, false)); err != nil {
 		t.Fatal(err)
 	}
 	delta, _ := eg.DeltaSince(0)
 	snap, _ = eg.Snapshot()
-	ref, refW, _, err := Repair(context.Background(), snap, diffusion.NewIC(), col, widths, delta, repairSeed, 1)
+	ref, _, err := Repair(context.Background(), snap, diffusion.NewIC(), col, delta, repairSeed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5, 16} {
-		got, gotW, _, err := Repair(context.Background(), snap, diffusion.NewIC(), col, widths, delta, repairSeed, workers)
+		got, _, err := Repair(context.Background(), snap, diffusion.NewIC(), col, delta, repairSeed, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareCollections(t, "workers", got, ref, gotW, refW)
+		compareCollections(t, "workers", got, ref)
 	}
 }
 
 func TestRepairRejects(t *testing.T) {
 	g := gen.ErdosRenyiGnm(50, 200, rng.New(4))
 	graph.AssignWeightedCascade(g)
-	col, widths := sampleCold(t, g, diffusion.NewIC(), 50)
+	col := sampleCold(t, g, diffusion.NewIC(), 50)
 	delta := Delta{NBefore: 50, NAfter: 50}
 
 	trig := diffusion.NewTriggering(diffusion.ICTrigger{})
-	if _, _, _, err := Repair(context.Background(), g, trig, col, widths, delta, repairSeed, 1); !errors.Is(err, ErrUnsupportedModel) {
+	if _, _, err := Repair(context.Background(), g, trig, col, delta, repairSeed, 1); !errors.Is(err, ErrUnsupportedModel) {
 		t.Fatalf("triggering model: %v", err)
 	}
-	if _, _, _, err := Repair(context.Background(), g, diffusion.NewIC(), col, widths[:10], delta, repairSeed, 1); err == nil {
-		t.Fatal("mismatched widths accepted")
-	}
-	if _, _, _, err := Repair(context.Background(), g, diffusion.NewIC(), col, widths, Delta{NBefore: 50, NAfter: 51}, repairSeed, 1); err == nil {
+	if _, _, err := Repair(context.Background(), g, diffusion.NewIC(), col, Delta{NBefore: 50, NAfter: 51}, repairSeed, 1); err == nil {
 		t.Fatal("snapshot/delta shape mismatch accepted")
 	}
 }
@@ -260,7 +242,7 @@ func TestRepairCancellation(t *testing.T) {
 	graph.AssignWeightedCascade(g)
 	eg := New(g, WeightedCascade{}, Options{})
 	snap, _ := eg.Snapshot()
-	col, widths := sampleCold(t, snap, diffusion.NewIC(), 400)
+	col := sampleCold(t, snap, diffusion.NewIC(), 400)
 	if _, err := eg.Apply(Batch{Inserts: []graph.Edge{{From: 1, To: 2, Weight: 1}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +250,7 @@ func TestRepairCancellation(t *testing.T) {
 	snap, _ = eg.Snapshot()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := Repair(ctx, snap, diffusion.NewIC(), col, widths, delta, repairSeed, 2); !errors.Is(err, context.Canceled) {
+	if _, _, err := Repair(ctx, snap, diffusion.NewIC(), col, delta, repairSeed, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled repair: %v", err)
 	}
 }
@@ -293,9 +275,8 @@ func TestDeltaImpact(t *testing.T) {
 	var tbuf []diffusion.TraceEdge
 	for i := 0; i < count; i++ {
 		base.SplitInto(uint64(i), &stream)
-		var width int64
-		buf, tbuf, width = sampler.SampleTraced(&stream, buf[:0], tbuf[:0])
-		col.Append(buf, width)
+		buf, tbuf = sampler.SampleTraced(&stream, buf[:0], tbuf[:0])
+		col.Append(buf)
 		traces.Append(tbuf)
 	}
 

@@ -22,7 +22,7 @@ func randomCollection(seed uint64, n, sets, maxSize int) *diffusion.RRCollection
 		for v := range members {
 			s = append(s, v)
 		}
-		col.Append(s, 0)
+		col.Append(s)
 	}
 	return col
 }

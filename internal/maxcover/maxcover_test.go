@@ -12,7 +12,7 @@ import (
 func collectionOf(sets ...[]uint32) *diffusion.RRCollection {
 	col := &diffusion.RRCollection{Off: []int64{0}}
 	for _, s := range sets {
-		col.Append(s, 0)
+		col.Append(s)
 	}
 	return col
 }
@@ -55,7 +55,7 @@ func TestGreedyMarginalsNonIncreasing(t *testing.T) {
 		for v := range set {
 			s = append(s, v)
 		}
-		col.Append(s, 0)
+		col.Append(s)
 	}
 	res := Greedy(n, col, 10)
 	for i := 1; i < len(res.Marginals); i++ {
@@ -148,7 +148,7 @@ func TestGreedyBeatsFractionOfOptimal(t *testing.T) {
 			for v := range seen {
 				sets[i] = append(sets[i], v)
 			}
-			col.Append(sets[i], 0)
+			col.Append(sets[i])
 		}
 		res := Greedy(n, col, k)
 		best := int64(0)
@@ -202,7 +202,7 @@ func TestGreedyCoverageMatchesCountCovered(t *testing.T) {
 			for v := range seen {
 				s = append(s, v)
 			}
-			col.Append(s, 0)
+			col.Append(s)
 		}
 		k := 1 + r.Intn(n)
 		res := Greedy(n, col, k)

@@ -35,7 +35,7 @@ func TestGreedyIsTrulyGreedy(t *testing.T) {
 			for v := range seen {
 				s = append(s, v)
 			}
-			col.Append(s, 0)
+			col.Append(s)
 		}
 		k := 1 + r.Intn(n)
 		for _, res := range []Result{Greedy(n, col, k), GreedyNaive(n, col, k)} {
@@ -99,10 +99,10 @@ func greedyInvariantHolds(n int, col *diffusion.RRCollection, res Result) bool {
 
 func TestGreedyNaiveBasics(t *testing.T) {
 	col := &diffusion.RRCollection{Off: []int64{0}}
-	col.Append([]uint32{0, 3}, 0)
-	col.Append([]uint32{1}, 0)
-	col.Append([]uint32{2}, 0)
-	col.Append([]uint32{3}, 0)
+	col.Append([]uint32{0, 3})
+	col.Append([]uint32{1})
+	col.Append([]uint32{2})
+	col.Append([]uint32{3})
 	res := GreedyNaive(4, col, 1)
 	if res.Seeds[0] != 3 || res.Covered != 2 {
 		t.Fatalf("res=%+v", res)

@@ -312,7 +312,7 @@ func TestStaleSnapshotBypass(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := &diffusion.RRCollection{Off: []int64{0}}
-	if _, err := diffusion.ExtendCollection(ctx, g1, diffusion.NewIC(), cold, theta, srv.cfg.Seed^fnv64(key), 2, nil); err != nil {
+	if err := diffusion.ExtendCollection(ctx, g1, diffusion.NewIC(), cold, theta, srv.cfg.Seed^fnv64(key), 2); err != nil {
 		t.Fatal(err)
 	}
 	for i := range cold.Flat {

@@ -140,14 +140,12 @@ type spillRecord struct {
 	disk  *obs.Account
 }
 
-// rrEntry is one cached collection. cumWidth[i] is Σ widths of the first
-// i sets, so a θ-prefix view knows its TotalWidth in O(1). version is the
-// graph version the collection's sets were (re)derived on; versioned
-// records whether version has been initialized by a first query.
+// rrEntry is one cached collection. version is the graph version the
+// collection's sets were (re)derived on; versioned records whether
+// version has been initialized by a first query.
 type rrEntry struct {
 	mu        sync.Mutex
 	col       *diffusion.RRCollection
-	cumWidth  []int64
 	seed      uint64
 	version   uint64
 	versioned bool
@@ -271,10 +269,9 @@ func (s *rrStore) entry(ctx context.Context, key string) (_ *rrEntry, created bo
 	}
 	victims := s.evictLocked()
 	e := &rrEntry{
-		col:      &diffusion.RRCollection{Off: []int64{0}},
-		cumWidth: []int64{0},
-		seed:     s.seed ^ fnv64(key),
-		mem:      s.ledger.Account(rrKeyDataset(key), "rr_collections"),
+		col:  &diffusion.RRCollection{Off: []int64{0}},
+		seed: s.seed ^ fnv64(key),
+		mem:  s.ledger.Account(rrKeyDataset(key), "rr_collections"),
 	}
 	if rec, ok := s.spilled[key]; ok {
 		// Claim the cold record under the store mutex: this entry is now
@@ -363,16 +360,12 @@ func (s *rrStore) demote(ctx context.Context, key string, v *rrEntry) {
 		return
 	}
 	span := obs.StartSpan(ctx, "rr.demote").Attr("sets", int64(v.col.Count()))
-	widths := make([]int64, v.col.Count())
-	for i := range widths {
-		widths[i] = v.cumWidth[i+1] - v.cumWidth[i]
-	}
 	hdr := diskrr.SpillHeader{Version: v.version, ProfileHash: rrKeyProfile(key), Seed: v.seed}
 	s.mu.Lock()
 	s.spillSeq++
 	path := filepath.Join(s.spillDir, fmt.Sprintf("rrspill-%016x-%d.bin", fnv64(key), s.spillSeq))
 	s.mu.Unlock()
-	bytes, err := diskrr.WriteSpill(path, hdr, v.col, widths)
+	bytes, err := diskrr.WriteSpill(path, hdr, v.col)
 	if err != nil {
 		// WriteSpill left no debris (its contract); the eviction becomes
 		// a plain drop and the next query on the key resamples cold.
@@ -429,13 +422,15 @@ func (s *rrStore) dropSpillLocked(key string, rec *spillRecord) {
 
 // promote reads the entry's claimed spill record back into memory — a
 // no-op when none is pending. Called with e.mu held, before the
-// version checks: promotion restores (col, widths, version) exactly as
-// they were demoted, and the ordinary repair path then brings a
-// behind-version collection to the query's snapshot (or cold-resets),
-// just as if the entry had stayed warm. The spill is dropped unserved
-// on a read failure or a header mismatch with the entry's identity —
+// version checks: promotion restores (col, version) exactly as they were
+// demoted, and the ordinary repair path then brings a behind-version
+// collection to the query's snapshot (or cold-resets), just as if the
+// entry had stayed warm. n is the node count of the query's snapshot;
+// node counts only grow, so every id of a file demoted at an older
+// version is below it. The spill is dropped unserved on a read failure
+// (including an id ≥ n) or a header mismatch with the entry's identity —
 // the query then resamples cold, bit-identical by the keyed seed.
-func (s *rrStore) promote(ctx context.Context, key string, e *rrEntry) {
+func (s *rrStore) promote(ctx context.Context, key string, e *rrEntry, n int) {
 	s.mu.Lock()
 	rec := e.pendingSpill
 	e.pendingSpill = nil
@@ -445,7 +440,7 @@ func (s *rrStore) promote(ctx context.Context, key string, e *rrEntry) {
 	}
 	span := obs.StartSpan(ctx, "rr.promote").Attr("bytes", rec.bytes).Attr("sets", rec.sets)
 	start := time.Now()
-	hdr, col, widths, err := diskrr.ReadSpill(rec.path)
+	hdr, col, err := diskrr.ReadSpill(rec.path, n)
 	os.Remove(rec.path)
 	rec.disk.Add(-rec.bytes)
 	if err != nil || hdr.Seed != e.seed || hdr.ProfileHash != rrKeyProfile(key) {
@@ -454,10 +449,6 @@ func (s *rrStore) promote(ctx context.Context, key string, e *rrEntry) {
 		return
 	}
 	e.col = col
-	e.cumWidth = e.cumWidth[:1]
-	for _, w := range widths {
-		e.cumWidth = append(e.cumWidth, e.cumWidth[len(e.cumWidth)-1]+w)
-	}
 	e.version, e.versioned = hdr.Version, true
 	s.promotions.Inc()
 	span.End()
@@ -601,7 +592,7 @@ func (r *rrSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model 
 	// version checks: a promoted collection behind the snapshot then
 	// repairs or cold-resets through the ordinary paths below, exactly
 	// like a warm entry would.
-	r.store.promote(ctx, r.key, e)
+	r.store.promote(ctx, r.key, e, g.N())
 
 	if e.versioned && e.version > r.snapVersion {
 		// This query resolved its snapshot before a concurrent update
@@ -623,18 +614,10 @@ func (r *rrSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model 
 		start := time.Now()
 		delta, ok := r.evg.DeltaBetween(e.version, r.snapVersion)
 		if ok && e.col.Count() > 0 {
-			widths := make([]int64, e.col.Count())
-			for i := range widths {
-				widths[i] = e.cumWidth[i+1] - e.cumWidth[i]
-			}
-			newCol, newWidths, st, err := evolve.RepairConfig(ctx, g, model, r.cfg, e.col, widths, delta, e.seed, workers)
+			newCol, st, err := evolve.RepairConfig(ctx, g, model, r.cfg, e.col, delta, e.seed, workers)
 			switch {
 			case err == nil:
 				e.col = newCol
-				e.cumWidth = e.cumWidth[:1]
-				for _, w := range newWidths {
-					e.cumWidth = append(e.cumWidth, e.cumWidth[len(e.cumWidth)-1]+w)
-				}
 				repairStats = st
 				didRepair = true
 			case errors.Is(err, evolve.ErrUnsupportedModel):
@@ -649,7 +632,6 @@ func (r *rrSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model 
 		}
 		if coldReset {
 			e.col = &diffusion.RRCollection{Off: []int64{0}}
-			e.cumWidth = []int64{0}
 		}
 		e.version = r.snapVersion
 		repairMs = float64(time.Since(start).Microseconds()) / 1000
@@ -664,17 +646,13 @@ func (r *rrSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model 
 		// (prefix determinism makes it exactly what the next query would
 		// re-derive), so deadline-bounded budgeted traffic ratchets the
 		// collection toward θ instead of sampling in vain.
-		var tail []int64
-		tail, extErr = diffusion.ExtendCollectionConfigPartial(ctx, g, model, r.cfg, e.col, theta, e.seed, workers, nil)
-		for _, w := range tail {
-			e.cumWidth = append(e.cumWidth, e.cumWidth[len(e.cumWidth)-1]+w)
-		}
+		extErr = diffusion.ExtendCollectionConfigPartial(ctx, g, model, r.cfg, e.col, theta, e.seed, workers)
 		r.reused = have
-		r.sampled = int64(len(tail))
+		r.sampled = int64(e.col.Count()) - have
 	} else {
 		r.reused = theta
 	}
-	memory := e.col.MemoryBytes() + int64(cap(e.cumWidth))*8
+	memory := e.col.MemoryBytes()
 	r.memory = memory
 	if err := fault.Hit(faultRREvictMidExtend); err != nil {
 		return nil, err
@@ -709,7 +687,7 @@ func (r *rrSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model 
 	if extErr != nil {
 		return nil, extErr
 	}
-	return e.col.Prefix(int(theta), e.cumWidth[theta]), nil
+	return e.col.Prefix(int(theta)), nil
 }
 
 // sampleBypass serves one query from a private collection sampled cold
@@ -721,7 +699,7 @@ func (r *rrSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model 
 func (r *rrSource) sampleBypass(ctx context.Context, g *graph.Graph, model diffusion.Model, theta int64, workers int) (*diffusion.RRCollection, error) {
 	seed := r.store.seed ^ fnv64(r.key)
 	col := &diffusion.RRCollection{Off: []int64{0}}
-	if _, err := diffusion.ExtendCollectionConfig(ctx, g, model, r.cfg, col, theta, seed, workers, nil); err != nil {
+	if err := diffusion.ExtendCollectionConfig(ctx, g, model, r.cfg, col, theta, seed, workers); err != nil {
 		return nil, err
 	}
 	r.sampled = theta

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -271,6 +272,65 @@ func TestSpillWriteFailureNoDebris(t *testing.T) {
 	}
 	if again.RRSetsReused != 0 || again.RRSetsSampled != again.Theta {
 		t.Fatalf("query after a dropped spill must resample cold: %+v", again)
+	}
+}
+
+// TestSpillPromoteRejectsOutOfRangeID: a spill file whose records hold a
+// node id outside the graph is dropped at promotion — file removed,
+// rr_spill ledger back to exactly 0 — and the query answers
+// bit-identically to a cold server. Promoting the id instead would hand
+// the cover-index build a member past its per-node counters.
+func TestSpillPromoteRejectsOutOfRangeID(t *testing.T) {
+	dir := t.TempDir()
+	srv, url := newSpillTestServer(t, dir, 0)
+	query := MaximizeRequest{Dataset: "ba", K: 3, Epsilon: 0.3}
+
+	if status, body := postJSON(t, url+"/v1/maximize",
+		MaximizeRequest{Dataset: "ba", K: 2, Epsilon: 0.3}, nil); status != http.StatusOK {
+		t.Fatalf("maximize: %d %s", status, body)
+	}
+	// A filler entry evicts (and demotes) the warm collection; the filler
+	// itself never samples, so its own later eviction writes no file.
+	srv.rr.entry(t.Context(), "ba|ic|eps=0.9")
+	files := spillFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("want one spill file after the demotion, have %v", files)
+	}
+	// Point the first set's root — inside every θ prefix — past the graph.
+	// The rewrite keeps the file's shape, so its size (and the ledger's
+	// charge for it) is unchanged.
+	path := filepath.Join(dir, files[0])
+	hdr, col, err := diskrr.ReadSpill(path, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col.Flat[0] = math.MaxUint32
+	if _, err := diskrr.WriteSpill(path, hdr, col); err != nil {
+		t.Fatal(err)
+	}
+
+	var got MaximizeResponse
+	if status, body := postJSON(t, url+"/v1/maximize", query, &got); status != http.StatusOK {
+		t.Fatalf("maximize over the corrupt spill: %d %s", status, body)
+	}
+	if st := srv.rr.stats(); st.SpillDrops != 1 || st.Promotions != 0 {
+		t.Fatalf("corrupt spill was not dropped unserved: %+v", st)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("dropped spill file still on disk: %v", err)
+	}
+	if got := srv.ledger.SumComponent("rr_spill"); got != 0 {
+		t.Fatalf("rr_spill ledger %d after dropping the only spill, want exactly 0", got)
+	}
+
+	_, coldURL := newSpillTestServer(t, t.TempDir(), 0)
+	var want MaximizeResponse
+	if status, body := postJSON(t, coldURL+"/v1/maximize", query, &want); status != http.StatusOK {
+		t.Fatalf("cold maximize: %d %s", status, body)
+	}
+	if fmt.Sprint(got.Seeds) != fmt.Sprint(want.Seeds) || got.Theta != want.Theta || got.SpreadEstimate != want.SpreadEstimate {
+		t.Fatalf("answer after the dropped spill differs from a cold server:\ngot  seeds %v theta %d spread %v\nwant seeds %v theta %d spread %v",
+			got.Seeds, got.Theta, got.SpreadEstimate, want.Seeds, want.Theta, want.SpreadEstimate)
 	}
 }
 

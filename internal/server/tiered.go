@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/evolve"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/tiered"
@@ -99,6 +100,9 @@ func (t *tieredRuntime) peek(key string) *scorerEntry {
 func (t *tieredRuntime) scorerFor(e *scorerEntry, evg *evolve.Graph, g *graph.Graph, version uint64) (*tiered.Scorer, int) {
 	switch {
 	case e.scorer == nil:
+		// The point only delays (tests make the build slow); its error
+		// has nothing to abort.
+		_ = fault.Hit(faultScorerBuild)
 		e.scorer = tiered.NewScorer(g)
 		e.version = version
 		t.scorerBuilds.Inc()
@@ -122,16 +126,24 @@ func (t *tieredRuntime) scorerFor(e *scorerEntry, evg *evolve.Graph, g *graph.Gr
 	return e.scorer, 0
 }
 
+// faultScorerBuild is consulted before a cached scorer's first full
+// build. Tests arm it with a sleeping handler to make the build slow
+// deterministically.
+const faultScorerBuild = "server/scorer-build"
+
 // fastSelect answers one fast-tier selection for key against evg's
 // current snapshot, building or refreshing the cached scorer as needed.
-func (t *tieredRuntime) fastSelect(key string, evg *evolve.Graph, k int, force, exclude []uint32) ([]uint32, float64, uint64) {
+// selectMs times Scorer.Select alone: the one-off build or refresh is
+// not the per-query cost the planner's fast-tier model predicts.
+func (t *tieredRuntime) fastSelect(key string, evg *evolve.Graph, k int, force, exclude []uint32) (seeds []uint32, est float64, version uint64, selectMs float64) {
 	g, version := evg.Snapshot()
 	e := t.entry(key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	sc, _ := t.scorerFor(e, evg, g, version)
-	seeds, est := sc.Select(k, force, exclude)
-	return seeds, est, version
+	start := time.Now()
+	seeds, est = sc.Select(k, force, exclude)
+	return seeds, est, version, msSince(start)
 }
 
 // scorerBytes sums the fast-tier scorers' own footprint for one dataset
@@ -364,16 +376,19 @@ func (s *Server) answer(base context.Context, req MaximizeRequest) (MaximizeResp
 }
 
 // serveFast answers req from the fast tier and feeds the latency
-// observations (ring + planner cost model).
+// observations. The ring and the tier histogram record what the client
+// waited, scorer build included; the planner's cost model gets the
+// selection time only — seeding it with a one-off build would make it
+// shed every later budgeted query the warm scorer answers in time.
 func (s *Server) serveFast(ctx context.Context, req MaximizeRequest, costKey string, evg *evolve.Graph) (MaximizeResponse, bool, error) {
 	span := obs.StartSpan(ctx, "fast.select").Attr("k", int64(req.K))
 	start := time.Now()
-	seeds, est, version := s.tiered.fastSelect(costKey, evg, req.K, req.Force, req.Exclude)
+	seeds, est, version, selectMs := s.tiered.fastSelect(costKey, evg, req.K, req.Force, req.Exclude)
 	ms := msSince(start)
 	span.End()
 	s.tiered.fastRing.Observe(ms)
 	s.obs.tierHist.With("fast").Observe(ms)
-	s.tiered.planner.ObserveFast(costKey, ms)
+	s.tiered.planner.ObserveFast(costKey, selectMs)
 	return MaximizeResponse{
 		Seeds:          seeds,
 		SpreadEstimate: est,

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/stats"
 	"repro/internal/tim"
 )
@@ -81,6 +82,38 @@ func TestSLOColdBudgetServedFast(t *testing.T) {
 	st := srv.tiered.stats()
 	if st.Fast.Count != 1 {
 		t.Fatalf("fast served = %d, want 1", st.Fast.Count)
+	}
+}
+
+// TestFastTierCostExcludesScorerBuild: the planner's fast-tier cost model
+// learns from Scorer.Select alone. The first budgeted query pays a slow
+// scorer build; a second query whose budget is far below that build but
+// far above a warm select must still be served fast, not shed.
+func TestFastTierCostExcludesScorerBuild(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	const buildDelay = 300 * time.Millisecond
+	fault.Set(faultScorerBuild, func() error {
+		time.Sleep(buildDelay)
+		return nil
+	})
+	_, ts := newTieredTestServer(t, 0)
+
+	var first MaximizeResponse
+	status, body := postJSON(t, ts.URL+"/v1/maximize", MaximizeRequest{Dataset: "ba", K: 5, BudgetMs: 1000}, &first)
+	if status != http.StatusOK || first.Tier != "fast" {
+		t.Fatalf("first query: %d tier %q: %s", status, first.Tier, body)
+	}
+	if first.ElapsedMs < float64(buildDelay.Milliseconds()) {
+		t.Fatalf("first query took %.1fms: the scorer build was not slowed", first.ElapsedMs)
+	}
+
+	var second MaximizeResponse
+	status, body = postJSON(t, ts.URL+"/v1/maximize", MaximizeRequest{Dataset: "ba", K: 4, BudgetMs: 50}, &second)
+	if status != http.StatusOK {
+		t.Fatalf("warm fast-eligible query shed against a 50ms budget: %d %s", status, body)
+	}
+	if second.Tier != "fast" {
+		t.Fatalf("tier = %q, want fast", second.Tier)
 	}
 }
 

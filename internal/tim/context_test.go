@@ -58,7 +58,7 @@ func (s *recordingSource) NodeSelectionSets(ctx context.Context, g *graph.Graph,
 	if s.col == nil {
 		s.col = &diffusion.RRCollection{}
 	}
-	if _, err := diffusion.ExtendCollection(ctx, g, model, s.col, theta, s.seed, workers, nil); err != nil {
+	if err := diffusion.ExtendCollection(ctx, g, model, s.col, theta, s.seed, workers); err != nil {
 		return nil, err
 	}
 	return s.col, nil
@@ -104,7 +104,7 @@ type shortSource struct{}
 
 func (shortSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model diffusion.Model, theta int64, workers int) (*diffusion.RRCollection, error) {
 	col := &diffusion.RRCollection{}
-	_, err := diffusion.ExtendCollection(ctx, g, model, col, 1, 1, 1, nil)
+	err := diffusion.ExtendCollection(ctx, g, model, col, 1, 1, 1)
 	return col, err
 }
 

@@ -16,7 +16,7 @@ type kptEstimate struct {
 	// lastBatch is R′, the RR sets generated in the final iteration —
 	// Algorithm 3 line 1 retrieves exactly these.
 	lastBatch *diffusion.RRCollection
-	// ept is the observed mean width, an estimate of EPT.
+	// ept is the mean width w(R) of lastBatch, an estimate of EPT.
 	ept float64
 }
 
@@ -40,6 +40,7 @@ func estimateKPT(ctx context.Context, g *graph.Graph, model diffusion.Model, cfg
 	m := g.M()
 	iterations := stats.KptIterations(n)
 	var last *diffusion.RRCollection
+	var lastWidth int64
 	for i := 1; i <= iterations; i++ {
 		if ctx.Err() != nil {
 			break // caller surfaces ctx.Err(); the estimate is discarded
@@ -51,15 +52,15 @@ func estimateKPT(ctx context.Context, g *graph.Graph, model diffusion.Model, cfg
 			Ctx:     ctx,
 			Config:  cfg,
 		})
-		last = col
-		sum := KappaSum(g, col, k, m)
+		sum, width := KappaSum(g, col, k, m)
+		last, lastWidth = col, width
 		avg := sum / float64(ci)
 		if avg > math.Pow(2, -float64(i)) {
 			return kptEstimate{
 				kptStar:    mass * sum / (2 * float64(ci)),
 				iterations: i,
 				lastBatch:  col,
-				ept:        eptOf(col),
+				ept:        meanWidth(width, col),
 			}
 		}
 	}
@@ -71,33 +72,36 @@ func estimateKPT(ctx context.Context, g *graph.Graph, model diffusion.Model, cfg
 		kptStar:    mass / float64(n),
 		iterations: iterations,
 		lastBatch:  last,
-		ept:        eptOf(last),
+		ept:        meanWidth(lastWidth, last),
 	}
 }
 
 // KappaSum computes Σ κ(R) over the collection, where
-// κ(R) = 1 − (1 − w(R)/m)^k (Equation 8). With no edges (m = 0) every κ
-// is 0: a uniformly random edge cannot point into R because there are
-// none (Lemma 5's edge-sampling argument). Exported because the
-// distributed runner (internal/dist) shares this paper-critical formula.
-func KappaSum(g *graph.Graph, col *diffusion.RRCollection, k, m int) float64 {
+// κ(R) = 1 − (1 − w(R)/m)^k (Equation 8), together with Σ w(R) — the
+// widths (Equation 1, via diffusion.Width) the κ terms are computed
+// from. With no edges (m = 0) every κ and every width is 0: a uniformly
+// random edge cannot point into R because there are none (Lemma 5's
+// edge-sampling argument). Exported because the distributed runner
+// (internal/dist) shares this paper-critical formula.
+func KappaSum(g *graph.Graph, col *diffusion.RRCollection, k, m int) (kappa float64, width int64) {
 	if m == 0 {
-		return 0
+		return 0, 0
 	}
-	var sum float64
 	count := col.Count()
 	for i := 0; i < count; i++ {
 		w := diffusion.Width(g, col.Set(i))
-		sum += 1 - math.Pow(1-float64(w)/float64(m), float64(k))
+		width += w
+		kappa += 1 - math.Pow(1-float64(w)/float64(m), float64(k))
 	}
-	return sum
+	return kappa, width
 }
 
-// eptOf estimates EPT (the expected RR-set width) as the mean width of the
-// final Algorithm 2 batch, which geometrically dominates the sample size.
-func eptOf(col *diffusion.RRCollection) float64 {
+// meanWidth estimates EPT (the expected RR-set width) as the mean width
+// of the final Algorithm 2 batch, which geometrically dominates the
+// sample size: its Σ w(R), as KappaSum returned it, over its set count.
+func meanWidth(width int64, col *diffusion.RRCollection) float64 {
 	if col == nil || col.Count() == 0 {
 		return 0
 	}
-	return float64(col.TotalWidth) / float64(col.Count())
+	return float64(width) / float64(col.Count())
 }

@@ -14,12 +14,12 @@ import (
 	"repro/internal/stats"
 )
 
-// TestKappaSumEdgeless: with m = 0 every κ(R) is 0 by definition.
+// TestKappaSumEdgeless: with m = 0 every κ(R) and every w(R) is 0.
 func TestKappaSumEdgeless(t *testing.T) {
 	g := graph.MustFromEdges(10, nil)
 	col := diffusion.SampleCollection(g, diffusion.NewIC(), 50, diffusion.SampleOptions{Workers: 1, Seed: 1})
-	if got := KappaSum(g, col, 3, g.M()); got != 0 {
-		t.Fatalf("kappaSum=%v, want 0 with no edges", got)
+	if got, width := KappaSum(g, col, 3, g.M()); got != 0 || width != 0 {
+		t.Fatalf("kappaSum=%v width=%d, want 0 and 0 with no edges", got, width)
 	}
 }
 
@@ -28,9 +28,12 @@ func TestKappaSumEdgeless(t *testing.T) {
 func TestKappaSumCompleteGraph(t *testing.T) {
 	g := gen.Complete(6, 1)
 	col := diffusion.SampleCollection(g, diffusion.NewIC(), 40, diffusion.SampleOptions{Workers: 1, Seed: 2})
-	got := KappaSum(g, col, 2, g.M())
+	got, width := KappaSum(g, col, 2, g.M())
 	if math.Abs(got-40) > 1e-9 {
 		t.Fatalf("kappaSum=%v, want 40 (kappa=1 per set)", got)
+	}
+	if want := int64(40 * g.M()); width != want {
+		t.Fatalf("width sum=%d, want %d (w(R)=m per set)", width, want)
 	}
 }
 
@@ -39,7 +42,7 @@ func TestKappaSumRange(t *testing.T) {
 	g := gen.ChungLuDirected(500, 3000, 2.4, 2.1, rng.New(3))
 	graph.AssignWeightedCascade(g)
 	col := diffusion.SampleCollection(g, diffusion.NewIC(), 200, diffusion.SampleOptions{Workers: 1, Seed: 4})
-	sum := KappaSum(g, col, 10, g.M())
+	sum, _ := KappaSum(g, col, 10, g.M())
 	if sum < 0 || sum > float64(col.Count()) {
 		t.Fatalf("kappaSum=%v outside [0, %d]", sum, col.Count())
 	}

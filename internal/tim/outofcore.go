@@ -46,8 +46,7 @@ func selectOutOfCore(ctx context.Context, g *graph.Graph, model diffusion.Model,
 			Ctx:     ctx,
 		})
 		for i := 0; i < col.Count(); i++ {
-			set := col.Set(i)
-			if err := w.Append(set, diffusion.Width(g, set)); err != nil {
+			if err := w.Append(col.Set(i)); err != nil {
 				w.Abort()
 				return nil, nil, fmt.Errorf("tim: spilling RR sets: %w", err)
 			}
@@ -69,7 +68,6 @@ func selectOutOfCore(ctx context.Context, g *graph.Graph, model diffusion.Model,
 	}
 	stats := &diskSelStats{
 		totalNodes: disk.TotalNodes(),
-		totalWidth: disk.TotalWidth(),
 		diskBytes:  disk.DiskBytes(),
 	}
 	return &cover, stats, nil
@@ -77,6 +75,5 @@ func selectOutOfCore(ctx context.Context, g *graph.Graph, model diffusion.Model,
 
 type diskSelStats struct {
 	totalNodes int64
-	totalWidth int64
 	diskBytes  int64
 }

@@ -31,8 +31,8 @@ type Result struct {
 	// KptPlus is Algorithm 3's refined bound KPT+ (equals KptStar for
 	// plain TIM).
 	KptPlus float64
-	// EptEstimate is the mean RR-set width observed during parameter
-	// estimation — an estimate of EPT (§3.2).
+	// EptEstimate is the mean RR-set width w(R) (Equation 1) over the
+	// final Algorithm 2 batch — an estimate of EPT (§3.2).
 	EptEstimate float64
 
 	// Epsilon is the approximation slack ε the run used (after option
@@ -67,10 +67,8 @@ type Result struct {
 	// Query.Costs (budgeted queries only; zero otherwise).
 	SeedCost float64
 
-	// RRTotalNodes and RRTotalWidth are Σ|R| and Σw(R) over the node
-	// selection collection.
+	// RRTotalNodes is Σ|R| over the node selection collection.
 	RRTotalNodes int64
-	RRTotalWidth int64
 	// MemoryBytes approximates the heap held by the RR collection at
 	// selection time (the dominant memory cost per §7.4). For spilled
 	// runs it is the on-disk footprint instead; see Spilled.

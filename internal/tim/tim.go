@@ -139,7 +139,6 @@ func MaximizeContext(ctx context.Context, g *graph.Graph, model diffusion.Model,
 		res.CoverageFraction = float64(cover.Covered) / float64(theta)
 		res.SpreadEstimate = res.CoverageFraction * float64(n)
 		res.RRTotalNodes = stats.totalNodes
-		res.RRTotalWidth = stats.totalWidth
 		res.MemoryBytes = stats.diskBytes
 		res.Spilled = true
 		res.Timings.Total = time.Since(start)
@@ -182,7 +181,6 @@ func MaximizeContext(ctx context.Context, g *graph.Graph, model diffusion.Model,
 	res.CoverageFraction = float64(sel.Covered) / float64(theta)
 	res.SpreadEstimate = res.CoverageFraction * mass
 	res.RRTotalNodes = col.TotalNodes()
-	res.RRTotalWidth = col.TotalWidth
 	res.MemoryBytes = col.MemoryBytes()
 	res.Timings.Total = time.Since(start)
 	return res, nil
@@ -213,7 +211,6 @@ func SelectWithTheta(g *graph.Graph, model diffusion.Model, k int, theta int64, 
 		Theta:            theta,
 		CoverageFraction: float64(cover.Covered) / float64(theta),
 		RRTotalNodes:     col.TotalNodes(),
-		RRTotalWidth:     col.TotalWidth,
 		MemoryBytes:      col.MemoryBytes(),
 	}
 	res.SpreadEstimate = res.CoverageFraction * float64(g.N())
