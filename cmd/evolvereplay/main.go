@@ -40,6 +40,7 @@ import (
 	"repro/internal/evolve"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/maxcover"
 	"repro/internal/rng"
 	"repro/internal/tim"
 )
@@ -96,12 +97,13 @@ type replayState struct {
 }
 
 // NodeSelectionSets implements tim.CollectionSource over the maintained
-// collection, extending it when θ outgrows it.
-func (s *replayState) NodeSelectionSets(ctx context.Context, g *graph.Graph, model diffusion.Model, theta int64, workers int) (*diffusion.RRCollection, error) {
+// collection, extending it when θ outgrows it. It keeps no cover index:
+// Maximize indexes the prefix per call.
+func (s *replayState) NodeSelectionSets(ctx context.Context, g *graph.Graph, model diffusion.Model, theta int64, workers int) (*diffusion.RRCollection, *maxcover.Index, error) {
 	if err := diffusion.ExtendCollection(ctx, g, model, s.col, theta, s.seed, workers); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return s.col.Prefix(int(theta)), nil
+	return s.col.Prefix(int(theta)), nil, nil
 }
 
 func run(cfg config) error {
@@ -175,7 +177,7 @@ func run(cfg config) error {
 			// Computed against the pre-repair membership — the same sets
 			// Repair is about to re-derive — so the trace arena can be
 			// patched instead of rebuilt.
-			affected, _ = evolve.AffectedSets(state.col, delta, state.seed)
+			affected, _ = evolve.AffectedSets(maxcover.NewIndex(nBefore, state.col, cfg.workers), delta, state.seed)
 		}
 
 		t0 := time.Now()

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/diffusion"
 	"repro/internal/graph"
+	"repro/internal/maxcover"
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
@@ -34,8 +35,10 @@ import (
 // any change to v's in-list shifts every subsequent draw. Node growth
 // additionally perturbs the root draw r.Intn(n): Repair replays that
 // first draw under both node counts and keeps a set only when the root
-// and the post-draw stream state agree.
-// DESIGN.md §8.3 gives the full argument, including why per-trace
+// and the post-draw stream state agree. The sets holding a touched head
+// are read off the collection's cover index (maxcover.Index): they are
+// the union of the heads' posting lists, so finding them reads no
+// member ids. DESIGN.md §8.3 gives the full argument, including why per-trace
 // deletion tracking cannot be tightened further without abandoning
 // bit-identity.
 
@@ -62,9 +65,11 @@ type RepairStats struct {
 // would sample cold on g (the post-mutation snapshot) with the same seed
 // and count, re-deriving only the sets delta could have affected. col is
 // never mutated. The model must be IC or LT; g.N() must equal
-// delta.NAfter.
+// delta.NAfter. It indexes col for this call; a caller that keeps a
+// cover index of col passes it to RepairConfig instead.
 func Repair(ctx context.Context, g *graph.Graph, model diffusion.Model, col *diffusion.RRCollection, delta Delta, seed uint64, workers int) (*diffusion.RRCollection, RepairStats, error) {
-	return RepairConfig(ctx, g, model, diffusion.SampleConfig{}, col, delta, seed, workers)
+	idx := maxcover.NewIndex(g.N(), col, workers)
+	return RepairConfig(ctx, g, model, diffusion.SampleConfig{}, col, idx, delta, seed, workers)
 }
 
 // RepairConfig is Repair for collections sampled under a constrained
@@ -76,7 +81,11 @@ func Repair(ctx context.Context, g *graph.Graph, model diffusion.Model, col *dif
 // requires root draws to be graph-independent, so under node growth only
 // uniform-root (cfg.Roots == nil) collections need the root-instability
 // check; weighted collections skip it entirely.
-func RepairConfig(ctx context.Context, g *graph.Graph, model diffusion.Model, cfg diffusion.SampleConfig, col *diffusion.RRCollection, delta Delta, seed uint64, workers int) (*diffusion.RRCollection, RepairStats, error) {
+//
+// idx is the cover index of exactly col (maxcover.NewIndex over col, on
+// any node count up to g.N()); its posting lists locate the sets holding
+// a touched head. It is only read, and it does not index the result.
+func RepairConfig(ctx context.Context, g *graph.Graph, model diffusion.Model, cfg diffusion.SampleConfig, col *diffusion.RRCollection, idx *maxcover.Index, delta Delta, seed uint64, workers int) (*diffusion.RRCollection, RepairStats, error) {
 	var stats RepairStats
 	switch model.Kind() {
 	case diffusion.IC, diffusion.LT:
@@ -86,6 +95,9 @@ func RepairConfig(ctx context.Context, g *graph.Graph, model diffusion.Model, cf
 	count := col.Count()
 	if g.N() != delta.NAfter {
 		return nil, stats, fmt.Errorf("evolve: snapshot has %d nodes, delta says %d", g.N(), delta.NAfter)
+	}
+	if idx.Sets() != count {
+		return nil, stats, fmt.Errorf("evolve: cover index holds %d sets, collection %d", idx.Sets(), count)
 	}
 	stats.Sets = int64(count)
 	span := obs.StartSpan(ctx, "rr.repair")
@@ -102,7 +114,7 @@ func RepairConfig(ctx context.Context, g *graph.Graph, model diffusion.Model, cf
 
 	// Phase 1: identify affected sets.
 	base := rng.New(seed)
-	todo, rootChanged := affectedSets(col, delta, seed, cfg.Roots == nil)
+	todo, rootChanged := affectedSets(idx, delta, seed, cfg.Roots == nil)
 	stats.RootChanged = rootChanged
 	stats.Repaired = int64(len(todo))
 	stats.Reused = stats.Sets - stats.Repaired
@@ -150,49 +162,57 @@ func RepairConfig(ctx context.Context, g *graph.Graph, model diffusion.Model, cf
 		}
 	}
 
-	// Phase 3: splice kept spans and re-derived sets into a fresh arena.
-	var flatLen int64
-	for i := 0; i < count; i++ {
-		flatLen += col.Off[i+1] - col.Off[i]
-	}
-	for j, idx := range todo {
-		flatLen += int64(len(newSets[j])) - (col.Off[idx+1] - col.Off[idx])
+	// Phase 3: splice the runs of kept sets and the re-derived sets into
+	// a fresh arena: one copy per kept run, whose offsets shift by the
+	// run's displacement.
+	flatLen := col.Off[count]
+	for j, i := range todo {
+		flatLen += int64(len(newSets[j])) - (col.Off[i+1] - col.Off[i])
 	}
 	out := &diffusion.RRCollection{
 		Flat: make([]uint32, 0, flatLen),
-		Off:  make([]int64, 1, count+1),
+		Off:  make([]int64, count+1),
 	}
-	next := 0 // next entry of todo to splice
-	for i := 0; i < count; i++ {
-		if next < len(todo) && int(todo[next]) == i {
-			out.Flat = append(out.Flat, newSets[next]...)
-			next++
-		} else {
-			out.Flat = append(out.Flat, col.Set(i)...)
+	keep := func(lo, hi int) {
+		shift := int64(len(out.Flat)) - col.Off[lo]
+		out.Flat = append(out.Flat, col.Flat[col.Off[lo]:col.Off[hi]]...)
+		for i := lo; i < hi; i++ {
+			out.Off[i+1] = col.Off[i+1] + shift
 		}
-		out.Off = append(out.Off, int64(len(out.Flat)))
 	}
+	next := 0 // first set of the current kept run
+	for j, i := range todo {
+		keep(next, int(i))
+		out.Flat = append(out.Flat, newSets[j]...)
+		out.Off[i+1] = int64(len(out.Flat))
+		next = int(i) + 1
+	}
+	keep(next, count)
 	return out, stats, nil
 }
 
 // AffectedSets returns, ascending, the indices of the sets an exact
 // repair must re-derive for delta — sets containing a touched head, plus
 // sets whose root draw destabilizes under node growth — together with
-// the count of the latter. This is THE affected-set criterion: Repair
-// re-derives exactly these indices, DeltaImpact's exact bound counts
-// them, and tools patching per-set side state (cmd/evolvereplay's trace
-// arena) must use the same list. It assumes uniform root sampling;
-// weighted-root collections (RepairConfig with a RootSampler) have no
-// root instability at all, because the sampler contract pins root draws
-// to the fixed weight profile, never to the node count.
-func AffectedSets(col *diffusion.RRCollection, delta Delta, seed uint64) (indices []int32, rootChanged int64) {
-	return affectedSets(col, delta, seed, true)
+// the count of the latter. idx is the cover index of the collection: the
+// sets containing a head are its posting list. This is THE affected-set
+// criterion: Repair re-derives exactly these indices, DeltaImpact's exact
+// bound counts them, and tools patching per-set side state
+// (cmd/evolvereplay's trace arena) must use the same list. It assumes
+// uniform root sampling; weighted-root collections (RepairConfig with a
+// RootSampler) have no root instability at all, because the sampler
+// contract pins root draws to the fixed weight profile, never to the
+// node count.
+func AffectedSets(idx *maxcover.Index, delta Delta, seed uint64) (indices []int32, rootChanged int64) {
+	return affectedSets(idx, delta, seed, true)
 }
 
 // affectedSets implements AffectedSets; uniformRoots selects whether the
-// root-instability scan under node growth applies.
-func affectedSets(col *diffusion.RRCollection, delta Delta, seed uint64, uniformRoots bool) (indices []int32, rootChanged int64) {
-	count := col.Count()
+// root-instability replay under node growth applies. The head half is
+// the union of the touched heads' posting lists; a head at or beyond
+// idx.N() is a node the indexed sets predate, so it is in none of them.
+func affectedSets(idx *maxcover.Index, delta Delta, seed uint64, uniformRoots bool) (indices []int32, rootChanged int64) {
+	count := idx.Sets()
 	var affected []bool
 	if uniformRoots {
 		affected = rootUnstableSets(count, delta.NBefore, delta.NAfter, seed)
@@ -205,20 +225,10 @@ func affectedSets(col *diffusion.RRCollection, delta Delta, seed uint64, uniform
 	if affected == nil {
 		affected = make([]bool, count)
 	}
-	if len(delta.Heads) > 0 {
-		headMark := make([]bool, delta.NAfter)
-		for _, h := range delta.Heads {
-			headMark[h] = true
-		}
-		for i := 0; i < count; i++ {
-			if affected[i] {
-				continue
-			}
-			for _, v := range col.Set(i) {
-				if headMark[v] {
-					affected[i] = true
-					break
-				}
+	for _, h := range delta.Heads {
+		if int(h) < idx.N() {
+			for _, s := range idx.Posting(h) {
+				affected[s] = true
 			}
 		}
 	}
@@ -276,7 +286,7 @@ type Impact struct {
 // node count nBefore (growing to nAfter), using recorded provenance.
 // traces must parallel col set for set (diffusion.SampleTraced). seed is
 // the collection's sampling seed, used to replay root draws under node
-// growth.
+// growth. The exact bound indexes col for this call (AffectedSets).
 func DeltaImpact(col *diffusion.RRCollection, traces *diffusion.TraceCollection, b Batch, nBefore, nAfter int, seed uint64) Impact {
 	count := col.Count()
 	imp := Impact{Sets: count}
@@ -304,7 +314,8 @@ func DeltaImpact(col *diffusion.RRCollection, traces *diffusion.TraceCollection,
 		risky[EdgeKey{e.From, e.To}] = true
 	}
 
-	exact, _ := AffectedSets(col, Delta{NBefore: nBefore, NAfter: nAfter, Heads: sortedHeads(headSet)}, seed)
+	idx := maxcover.NewIndex(nAfter, col, 1)
+	exact, _ := AffectedSets(idx, Delta{NBefore: nBefore, NAfter: nAfter, Heads: sortedHeads(headSet)}, seed)
 	imp.Affected = len(exact)
 
 	rootUnstable := rootUnstableSets(count, nBefore, nAfter, seed)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/diffusion"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/maxcover"
 	"repro/internal/query"
 	"repro/internal/rng"
 )
@@ -89,7 +90,7 @@ func TestRepairConfigMatchesColdSample(t *testing.T) {
 				prev = eg.Version()
 				snap, _ = eg.Snapshot()
 
-				newCol, stats, err := RepairConfig(context.Background(), snap, tc.model, cfg, col, delta, repairSeed, 3)
+				newCol, stats, err := RepairConfig(context.Background(), snap, tc.model, cfg, col, maxcover.NewIndex(snap.N(), col, 3), delta, repairSeed, 3)
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
@@ -127,7 +128,7 @@ func TestRepairConfigDefaultMatchesRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RepairConfig(context.Background(), snap, diffusion.NewIC(), diffusion.SampleConfig{}, col, delta, repairSeed, 2)
+	b, _, err := RepairConfig(context.Background(), snap, diffusion.NewIC(), diffusion.SampleConfig{}, col, maxcover.NewIndex(snap.N(), col, 2), delta, repairSeed, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,13 @@ package evolve
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/diffusion"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/maxcover"
 	"repro/internal/rng"
 )
 
@@ -44,12 +46,18 @@ func compareCollections(t *testing.T, label string, got, want *diffusion.RRColle
 // the delta can affect: sets whose root draw changes with the node count
 // plus sets containing a touched head.
 func affectedBound(col *diffusion.RRCollection, delta Delta) int64 {
+	return int64(len(scanAffected(col, delta)))
+}
+
+// scanAffected lists the affected sets by reading every member id — the
+// criterion Repair used before it read the cover index's posting lists.
+func scanAffected(col *diffusion.RRCollection, delta Delta) []int32 {
 	head := make(map[uint32]bool, len(delta.Heads))
 	for _, h := range delta.Heads {
 		head[h] = true
 	}
 	base := rng.New(repairSeed)
-	var bound int64
+	var affected []int32
 	var r1, r2 rng.Rand
 	for i := 0; i < col.Count(); i++ {
 		hit := false
@@ -67,10 +75,52 @@ func affectedBound(col *diffusion.RRCollection, delta Delta) int64 {
 			}
 		}
 		if hit {
-			bound++
+			affected = append(affected, int32(i))
 		}
 	}
-	return bound
+	return affected
+}
+
+// TestAffectedSetsMatchMemberScan: the affected sets read off the cover
+// index's posting lists are exactly the sets a scan of every member
+// finds, for random cumulative deltas with and without node growth —
+// including heads on nodes added after the indexed sets were sampled.
+func TestAffectedSetsMatchMemberScan(t *testing.T) {
+	for _, grow := range []bool{false, true} {
+		r := rng.New(5)
+		g := gen.ErdosRenyiGnm(180, 900, r)
+		graph.AssignWeightedCascade(g)
+		eg := New(g, WeightedCascade{}, Options{})
+		snap, v0 := eg.Snapshot()
+		col := sampleCold(t, snap, diffusion.NewIC(), 900)
+		for step := 0; step < 12; step++ {
+			b := randomBatch(r, eg, grow)
+			if grow {
+				// An edge into a node the indexed sets predate: its head
+				// has no posting list.
+				b.AddNodes++
+				b.Inserts = append(b.Inserts, graph.Edge{From: 0, To: uint32(eg.N() + b.AddNodes - 1), Weight: 0.5})
+			}
+			if _, err := eg.Apply(b); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			delta, ok := eg.DeltaSince(v0)
+			if !ok {
+				t.Fatalf("step %d: delta unavailable", step)
+			}
+			want := scanAffected(col, delta)
+			for _, workers := range []int{1, 3} {
+				got, rootChanged := AffectedSets(maxcover.NewIndex(snap.N(), col, workers), delta, repairSeed)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("grow=%v step %d workers=%d: index gives %d sets %v, member scan %d sets %v",
+						grow, step, workers, len(got), got, len(want), want)
+				}
+				if delta.NBefore == delta.NAfter && rootChanged != 0 {
+					t.Fatalf("grow=%v step %d: %d root changes without node growth", grow, step, rootChanged)
+				}
+			}
+		}
+	}
 }
 
 // randomBatch builds a valid mutation batch against the graph's current

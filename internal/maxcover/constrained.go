@@ -31,14 +31,15 @@ type Constraints struct {
 	// exclusion). Out-of-range ids are ignored.
 	Exclude []uint32
 	// Workers is an execution knob, not a constraint: the parallelism of
-	// the occurrence count and inverted-index build (≤ 0 = all cores,
-	// 1 = serial). Selection results are byte-identical for every value.
+	// GreedyConstrained's per-call index build (≤ 0 = all cores,
+	// 1 = serial; GreedyIndex, handed a built index, ignores it).
+	// Selection results are byte-identical for every value.
 	Workers int
 }
 
-// constrained reports whether selection needs the constrained path at all;
-// plain (K)-cardinality selection without force/exclude/budget should use
-// the faster bucket-based Greedy.
+// constrained reports whether selection needs the lazy greedy at all;
+// plain (K)-cardinality selection without force/exclude/budget uses the
+// faster bucket greedy.
 func (c *Constraints) constrained() bool {
 	return c.Budget > 0 || len(c.Force) > 0 || len(c.Exclude) > 0
 }
@@ -52,17 +53,24 @@ func (c *Constraints) constrained() bool {
 // selection stops at zero marginal gain or when nothing else is
 // affordable. Ties break toward the lower node id, so the result is
 // deterministic for a fixed collection.
+//
+// It builds an index over col for this call alone, in pooled scratch,
+// and runs GreedyIndex; callers selecting repeatedly over one collection
+// keep a NewIndex instead.
 func GreedyConstrained(n int, col *diffusion.RRCollection, c Constraints) Result {
-	if !c.constrained() {
-		return GreedyWorkers(n, col, c.K, c.Workers)
+	if n <= 0 {
+		return Result{Seeds: []uint32{}, Marginals: []int64{}}
 	}
-	k := c.K
-	if k > n {
-		k = n
-	}
-	if k < 0 {
-		k = 0
-	}
+	idx := buildIndex(n, col, c.Workers, true)
+	defer idx.release()
+	return GreedyIndex(idx, col, c)
+}
+
+// greedyConstrained is GreedyIndex's constrained half: forced seeds,
+// exclusions and budgets, over the θ = col.Count() prefix of idx.
+func greedyConstrained(idx *Index, col *diffusion.RRCollection, c Constraints) Result {
+	n := idx.N()
+	k := clampK(c.K, n)
 	res := Result{
 		Seeds:     make([]uint32, 0, k+len(c.Force)),
 		Marginals: make([]int64, 0, k+len(c.Force)),
@@ -70,12 +78,12 @@ func GreedyConstrained(n int, col *diffusion.RRCollection, c Constraints) Result
 	if n == 0 {
 		return res
 	}
-	idx, release := buildCoverIndex(n, col, c.Workers)
-	defer release()
-	count, idxOff, idxSets := idx.count, idx.off, idx.sets
+	count := i64Pool.get(n, false)
+	idx.prefixCounts(col.Count(), count)
 	coveredSet := boolPool.get(col.Count())
 	selected := boolPool.get(n)
 	defer func() {
+		i64Pool.put(count)
 		boolPool.put(coveredSet)
 		boolPool.put(selected)
 	}()
@@ -89,25 +97,13 @@ func GreedyConstrained(n int, col *diffusion.RRCollection, c Constraints) Result
 	// Warm-start: cover the forced nodes first, recording their marginal
 	// coverage in order, so the greedy picks below optimize genuinely
 	// marginal gain over what the caller has already seeded.
-	cover := func(v uint32) int64 {
-		gain := count[v]
-		for _, s := range idxSets[idxOff[v]:idxOff[v+1]] {
-			if coveredSet[s] {
-				continue
-			}
-			coveredSet[s] = true
-			for _, u := range col.Set(int(s)) {
-				count[u]--
-			}
-		}
-		return gain
-	}
 	for _, v := range c.Force {
 		if int(v) >= n || selected[v] {
 			continue
 		}
 		selected[v] = true
-		gain := cover(v)
+		gain := count[v]
+		coverNode(idx, col, v, count, coveredSet)
 		res.Seeds = append(res.Seeds, v)
 		res.Marginals = append(res.Marginals, gain)
 		res.Covered += gain
@@ -118,9 +114,9 @@ func GreedyConstrained(n int, col *diffusion.RRCollection, c Constraints) Result
 		return res
 	}
 	if c.Budget <= 0 {
-		greedyLazy(n, col, count, idxOff, idxSets, coveredSet, selected, excluded, k, nil, 0, false, &res)
-		// Pad with zero-marginal eligible nodes, as Greedy does, so
-		// cardinality queries keep the "exactly k picks" contract.
+		greedyLazy(idx, col, count, coveredSet, selected, excluded, k, nil, 0, false, &res)
+		// Pad with zero-marginal eligible nodes, as the bucket greedy
+		// does, so cardinality queries keep the "exactly k picks" contract.
 		for v := 0; v < n && len(res.Seeds)-res.Forced < k; v++ {
 			if !selected[v] && !excluded[v] {
 				selected[v] = true
@@ -136,13 +132,13 @@ func GreedyConstrained(n int, col *diffusion.RRCollection, c Constraints) Result
 	ratio := res
 	ratio.Seeds = append([]uint32(nil), res.Seeds...)
 	ratio.Marginals = append([]int64(nil), res.Marginals...)
-	greedyLazy(n, col, cloneI64(count), idxOff, idxSets, cloneBool(coveredSet),
+	greedyLazy(idx, col, cloneI64(count), cloneBool(coveredSet),
 		cloneBool(selected), excluded, k, c.Costs, c.Budget, true, &ratio)
 
 	uniform := res
 	uniform.Seeds = append([]uint32(nil), res.Seeds...)
 	uniform.Marginals = append([]int64(nil), res.Marginals...)
-	greedyLazy(n, col, count, idxOff, idxSets, coveredSet,
+	greedyLazy(idx, col, count, coveredSet,
 		selected, excluded, k, c.Costs, c.Budget, false, &uniform)
 
 	if ratio.Covered >= uniform.Covered {
@@ -159,9 +155,10 @@ func GreedyConstrained(n int, col *diffusion.RRCollection, c Constraints) Result
 // ratio pass) or raw gain (the cost-oblivious pass); both respect
 // affordability: a popped node whose cost exceeds the remaining budget is
 // dropped from candidacy and the scan continues.
-func greedyLazy(n int, col *diffusion.RRCollection, count []int64, idxOff []int64, idxSets []uint32,
+func greedyLazy(idx *Index, col *diffusion.RRCollection, count []int64,
 	coveredSet []bool, selected, excluded []bool, k int, costs []float64, budget float64, rankByRatio bool, res *Result) {
 
+	n := idx.N()
 	costOf := func(v uint32) float64 {
 		if costs == nil {
 			return 1
@@ -211,15 +208,7 @@ func greedyLazy(n int, col *diffusion.RRCollection, count []int64, idxOff []int6
 			res.Cost += costOf(v)
 		}
 		picks++
-		for _, s := range idxSets[idxOff[v]:idxOff[v+1]] {
-			if coveredSet[s] {
-				continue
-			}
-			coveredSet[s] = true
-			for _, u := range col.Set(int(s)) {
-				count[u]--
-			}
-		}
+		coverNode(idx, col, v, count, coveredSet)
 	}
 }
 

@@ -12,14 +12,19 @@
 // O(Σ|R| + n + k), matching the "linear-time implementation" the paper
 // relies on for its complexity claims.
 //
-// The index-construction half of that work — occurrence counting and the
-// CSR inverted-index fill — parallelizes over set shards with
-// order-fixed reductions (parallel.go), as does CountCovered; results
-// are byte-identical for every worker count. The large per-call arrays
-// are recycled through process-wide pools (ScratchPoolStats).
+// The inverted index (node → ascending ids of the sets containing it) is
+// its own read-only type, Index, so a caller selecting repeatedly over one
+// growing collection — the server's RR-collection store — builds it once
+// per collection state and runs GreedyIndex over any θ-prefix of it.
+// Building it parallelizes over set shards with order-fixed reductions
+// (parallel.go), as does CountCovered; results are byte-identical for
+// every worker count. The per-call arrays are recycled through
+// process-wide pools (ScratchPoolStats).
 package maxcover
 
 import (
+	"fmt"
+
 	"repro/internal/diffusion"
 )
 
@@ -59,12 +64,27 @@ func Greedy(n int, col *diffusion.RRCollection, k int) Result {
 // count — workers only changes how fast the index is built, never which
 // nodes win (see parallel.go for the determinism argument).
 func GreedyWorkers(n int, col *diffusion.RRCollection, k, workers int) Result {
-	if k > n {
-		k = n
+	return GreedyConstrained(n, col, Constraints{K: k, Workers: workers})
+}
+
+// GreedyIndex selects under c over col, which must be the θ-prefix
+// (θ = col.Count() ≤ idx.Sets()) of the collection idx indexes: the same
+// collection, or a Prefix view of it. It is the one selection loop of
+// the package; Greedy, GreedyWorkers and GreedyConstrained build a
+// per-call index and call it. Every node's count starts at its number of
+// postings below θ and every posting walk stops at the first id ≥ θ, so
+// counts, bucket order and visiting order — and therefore the result —
+// equal a selection over an index built from col alone. c.Workers is
+// unused: the index is already built.
+func GreedyIndex(idx *Index, col *diffusion.RRCollection, c Constraints) Result {
+	if col.Count() > idx.Sets() {
+		panic(fmt.Sprintf("maxcover: selecting over %d sets with an index of %d", col.Count(), idx.Sets()))
 	}
-	if k < 0 {
-		k = 0
+	if c.constrained() {
+		return greedyConstrained(idx, col, c)
 	}
+	n := idx.N()
+	k := clampK(c.K, n)
 	res := Result{
 		Seeds:     make([]uint32, 0, k),
 		Marginals: make([]int64, 0, k),
@@ -72,10 +92,15 @@ func GreedyWorkers(n int, col *diffusion.RRCollection, k, workers int) Result {
 	if n == 0 || k == 0 {
 		return res
 	}
-	idx, release := buildCoverIndex(n, col, workers)
-	defer release()
-	count, idxOff, idxSets := idx.count, idx.off, idx.sets
-	numSets := col.Count()
+	count := i64Pool.get(n, false)
+	idx.prefixCounts(col.Count(), count)
+	coveredSet := boolPool.get(col.Count())
+	selected := boolPool.get(n)
+	defer func() {
+		i64Pool.put(count)
+		boolPool.put(coveredSet)
+		boolPool.put(selected)
+	}()
 
 	// Buckets by count with lazy repositioning. counts only decrease, so
 	// a node found in a bucket above its true count is moved down.
@@ -90,12 +115,6 @@ func GreedyWorkers(n int, col *diffusion.RRCollection, k, workers int) Result {
 		c := count[v]
 		buckets[c] = append(buckets[c], uint32(v))
 	}
-	coveredSet := boolPool.get(numSets)
-	selected := boolPool.get(n)
-	defer func() {
-		boolPool.put(coveredSet)
-		boolPool.put(selected)
-	}()
 	var covered int64
 
 	cur := maxCount
@@ -139,20 +158,41 @@ func GreedyWorkers(n int, col *diffusion.RRCollection, k, workers int) Result {
 		res.Seeds = append(res.Seeds, v)
 		res.Marginals = append(res.Marginals, gain)
 		covered += gain
-		// Cover v's sets; decrement counts of their other members.
-		for _, s := range idxSets[idxOff[v]:idxOff[v+1]] {
-			if coveredSet[s] {
-				continue
-			}
-			coveredSet[s] = true
-			for _, u := range col.Set(int(s)) {
-				count[u]--
-			}
-		}
+		coverNode(idx, col, v, count, coveredSet)
 		// count[v] is now 0 by construction (all its sets got covered).
 	}
 	res.Covered = covered
 	return res
+}
+
+// coverNode marks v's still-uncovered sets among the θ = col.Count()
+// prefix covered and decrements the counts of their members. v's posting
+// list is ascending, so the walk stops at the first id ≥ θ.
+func coverNode(idx *Index, col *diffusion.RRCollection, v uint32, count []int64, coveredSet []bool) {
+	theta := uint32(col.Count())
+	for _, s := range idx.Posting(v) {
+		if s >= theta {
+			break
+		}
+		if coveredSet[s] {
+			continue
+		}
+		coveredSet[s] = true
+		for _, u := range col.Set(int(s)) {
+			count[u]--
+		}
+	}
+}
+
+// clampK clamps a pick count into [0, n].
+func clampK(k, n int) int {
+	if k > n {
+		return n
+	}
+	if k < 0 {
+		return 0
+	}
+	return k
 }
 
 // CountCovered returns how many sets in col contain at least one of the

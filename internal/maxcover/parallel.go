@@ -2,6 +2,7 @@ package maxcover
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,10 +20,13 @@ import (
 // pick downstream) are byte-identical to the serial build. Workers is an
 // execution knob, never part of the answer.
 //
-// The large per-call arrays — occurrence counts, CSR offsets and set ids,
-// cover bitmaps, CountCovered seed marks — come from process-wide pools,
-// so a query-serving process stops paying an O(n + Σ|R|) allocation tax
-// per selection. ScratchPoolStats exposes the reuse counters.
+// The large per-call arrays — coverage counts, cover bitmaps, CountCovered
+// seed marks, and the CSR arrays of an index built for one call only —
+// come from process-wide pools, so a query-serving process stops paying an
+// O(n + Σ|R|) allocation tax per selection. An Index built to be kept
+// (NewIndex) is allocated directly instead: parking its arrays in a pool
+// would keep a second copy warm beside it. ScratchPoolStats exposes the
+// reuse counters.
 
 // minParallelFlat is the flat-arena size below which the serial paths
 // win: shard bookkeeping and goroutine handoff cost more than the scan.
@@ -90,50 +94,100 @@ func parallelRanges(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// coverIndex is the node-selection data structure: per-node occurrence
-// counts (mutated by the pick loops as sets become covered) and the CSR
-// inverted index mapping each node to the ids of the sets containing it,
-// ascending within a node.
-type coverIndex struct {
-	count []int64
-	off   []int64
-	sets  []uint32
+// Index is the node-selection inverted index over an RR collection: for
+// each node v in [0, N()), the ids of the sets containing v, ascending
+// (CSR layout: Posting(v) is ids[off[v]:off[v+1]]). It is read-only once
+// built, so one Index can serve any number of concurrent selections over
+// any θ-prefix of the collection it indexes (GreedyIndex); the per-query
+// mutable state — coverage counts and cover bitmaps — lives outside it.
+type Index struct {
+	sets int
+	off  []int64
+	ids  []uint32
 }
 
-// buildCoverIndex computes the coverIndex over col, parallelizing the
-// occurrence count and the CSR fill across set shards. The returned
-// release func recycles the arrays; the caller must not touch the index
-// after calling it.
-func buildCoverIndex(n int, col *diffusion.RRCollection, workers int) (coverIndex, func()) {
-	workers = effectiveWorkers(workers, len(col.Flat))
-	count := i64Pool.get(n, workers == 1) // the serial path counts in place
-	off := i64Pool.get(n+1, false)
-	sets := u32Pool.get(len(col.Flat))
-	release := func() {
-		i64Pool.put(count)
-		i64Pool.put(off)
-		u32Pool.put(sets)
+// NewIndex builds the Index of col over nodes [0, n), parallelizing the
+// occurrence count and the CSR fill across set shards (workers ≤ 0 = all
+// cores; 1 = the serial build). The arrays are allocated for the caller
+// to keep — nothing comes from, or returns to, the scratch pools — and
+// they are byte-identical for every worker count. Every member of col
+// must be below n.
+func NewIndex(n int, col *diffusion.RRCollection, workers int) *Index {
+	return buildIndex(n, col, workers, false)
+}
+
+// N returns the node count the index covers.
+func (x *Index) N() int { return len(x.off) - 1 }
+
+// Sets returns the number of RR sets indexed.
+func (x *Index) Sets() int { return x.sets }
+
+// Posting returns the ids of the sets containing v, ascending (aliasing
+// internal storage; callers must not modify it). v must be below N().
+func (x *Index) Posting(v uint32) []uint32 { return x.ids[x.off[v]:x.off[v+1]] }
+
+// MemoryBytes returns the heap bytes held by the index (by capacity); 0
+// for a nil index.
+func (x *Index) MemoryBytes() int64 {
+	if x == nil {
+		return 0
 	}
+	return int64(cap(x.off))*8 + int64(cap(x.ids))*4
+}
+
+// prefixCounts writes into count[v] the number of v's postings below
+// theta: v's occurrence count in the θ-prefix collection. At theta ==
+// Sets() that is the list length; below it, a binary search over the
+// ascending list.
+func (x *Index) prefixCounts(theta int, count []int64) {
+	if theta == x.sets {
+		for v := range count {
+			count[v] = x.off[v+1] - x.off[v]
+		}
+		return
+	}
+	for v := range count {
+		i, _ := slices.BinarySearch(x.ids[x.off[v]:x.off[v+1]], uint32(theta))
+		count[v] = int64(i)
+	}
+}
+
+// buildIndex builds the Index of col. With pooled set, off and ids come
+// from the scratch pools and the caller must hand them back with release
+// once the selection is done (the per-call path of GreedyConstrained);
+// otherwise they are allocated for keeping (NewIndex).
+func buildIndex(n int, col *diffusion.RRCollection, workers int, pooled bool) *Index {
+	workers = effectiveWorkers(workers, len(col.Flat))
+	var x Index
+	x.sets = col.Count()
+	if pooled {
+		x.off = i64Pool.get(n+1, true)
+		x.ids = u32Pool.get(len(col.Flat))
+	} else {
+		x.off = make([]int64, n+1)
+		x.ids = make([]uint32, len(col.Flat))
+	}
+	off, ids := x.off, x.ids
 
 	if workers == 1 {
+		// off[v+1] counts v's occurrences, then the prefix sum turns the
+		// counts into CSR offsets in place.
 		for _, v := range col.Flat {
-			count[v]++
+			off[v+1]++
 		}
-		off[0] = 0
 		for v := 0; v < n; v++ {
-			off[v+1] = off[v] + count[v]
+			off[v+1] += off[v]
 		}
 		fill := i64Pool.get(n, false)
 		copy(fill, off[:n])
-		numSets := col.Count()
-		for s := 0; s < numSets; s++ {
+		for s := 0; s < x.sets; s++ {
 			for _, v := range col.Set(s) {
-				sets[fill[v]] = uint32(s)
+				ids[fill[v]] = uint32(s)
 				fill[v]++
 			}
 		}
 		i64Pool.put(fill)
-		return coverIndex{count: count, off: off, sets: sets}, release
+		return &x
 	}
 
 	bounds := setShardBounds(col, workers)
@@ -167,12 +221,11 @@ func buildCoverIndex(n int, col *diffusion.RRCollection, workers int) (coverInde
 				shard[w][v] = run
 				run += t
 			}
-			count[v] = run
+			off[v+1] = run
 		}
 	})
-	off[0] = 0
 	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + count[v]
+		off[v+1] += off[v]
 	}
 	// Pass 3: parallel CSR fill over the precomputed shard offsets. Shard
 	// w's occurrences of node v land at off[v] + prefix_w(v) onward, so
@@ -184,7 +237,7 @@ func buildCoverIndex(n int, col *diffusion.RRCollection, workers int) (coverInde
 			fill := shard[w]
 			for s := bounds[w]; s < bounds[w+1]; s++ {
 				for _, v := range col.Set(s) {
-					sets[off[v]+fill[v]] = uint32(s)
+					ids[off[v]+fill[v]] = uint32(s)
 					fill[v]++
 				}
 			}
@@ -194,7 +247,14 @@ func buildCoverIndex(n int, col *diffusion.RRCollection, workers int) (coverInde
 	for w := range shard {
 		i64Pool.put(shard[w])
 	}
-	return coverIndex{count: count, off: off, sets: sets}, release
+	return &x
+}
+
+// release hands a pooled index's arrays back to the scratch pools; the
+// index must not be used afterwards.
+func (x *Index) release() {
+	i64Pool.put(x.off)
+	u32Pool.put(x.ids)
 }
 
 // CountCoveredWorkers is CountCovered parallelized over contiguous set

@@ -125,6 +125,75 @@ func BenchmarkGreedyParallel(b *testing.B) {
 	}
 }
 
+// TestIndexedGreedyMatchesPrefix: selecting over a kept index at any
+// θ ≤ Sets() — the rr-store's warm path — gives exactly the result of
+// indexing the θ-prefix alone, in every mode (cardinality, force and
+// exclude, budget with costs) and for every build worker count.
+func TestIndexedGreedyMatchesPrefix(t *testing.T) {
+	r := rng.New(12)
+	for trial := 0; trial < 40; trial++ {
+		n := 20 + r.Intn(600)
+		col := randomCollection(uint64(100+trial), n, 1+r.Intn(9000), 1+r.Intn(12))
+		costs := make([]float64, n)
+		for i := range costs {
+			costs[i] = 0.25 + 2*r.Float64()
+		}
+		ids := func(max int) []uint32 {
+			out := make([]uint32, r.Intn(max+1))
+			for i := range out {
+				out[i] = uint32(r.Intn(n + 3)) // duplicates and out-of-range ids included
+			}
+			return out
+		}
+		modes := map[string]Constraints{
+			"cardinality":   {K: 1 + r.Intn(60)},
+			"force/exclude": {K: 1 + r.Intn(60), Force: ids(4), Exclude: ids(10)},
+			"budget":        {K: 1 + r.Intn(60), Budget: 1 + 12*r.Float64(), Costs: costs, Force: ids(2)},
+		}
+		for _, workers := range []int{1, 2, 4} {
+			idx := NewIndex(n, col, workers)
+			for _, theta := range []int{col.Count(), r.Intn(col.Count() + 1)} {
+				prefix := col.Prefix(theta)
+				for name, c := range modes {
+					c.Workers = workers
+					label := fmt.Sprintf("trial %d workers=%d θ=%d/%d %s", trial, workers, theta, idx.Sets(), name)
+					got, want := GreedyIndex(idx, prefix, c), GreedyConstrained(n, prefix, c)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: indexed %+v, per-call %+v", label, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkGreedyIndexed measures selection over a kept index — the
+// rr-store's warm path, which skips the build BenchmarkGreedyParallel
+// pays per call — at the full indexed count and at a θ-prefix, beside
+// the one-off NewIndex build it amortizes.
+func BenchmarkGreedyIndexed(b *testing.B) {
+	const n = 20000
+	col := randomCollection(1, n, 200000, 8)
+	idx := NewIndex(n, col, 1)
+	for _, theta := range []int{200000, 150000} {
+		prefix := col.Prefix(theta)
+		b.Run(fmt.Sprintf("theta=%d", theta), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if res := GreedyIndex(idx, prefix, Constraints{K: 50}); len(res.Seeds) != 50 {
+					b.Fatalf("picks=%d", len(res.Seeds))
+				}
+			}
+		})
+	}
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			NewIndex(n, col, 1)
+		}
+	})
+}
+
 // BenchmarkCountCoveredParallel measures the refine-pass coverage count
 // at one and all cores.
 func BenchmarkCountCoveredParallel(b *testing.B) {

@@ -105,7 +105,7 @@ func TestLedgerExactUnderChurn(t *testing.T) {
 	var recomputed int64
 	live := 0
 	for _, e := range srv.rr.entries {
-		recomputed += e.col.MemoryBytes()
+		recomputed += e.col.MemoryBytes() + e.idx.MemoryBytes()
 		live++
 	}
 	reported := srv.rr.memoryTotal()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/diffusion"
 	"repro/internal/evolve"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // newEvolveTestServer builds a server over one file-backed dataset with a
@@ -264,7 +266,7 @@ func TestStaleSnapshotBypass(t *testing.T) {
 
 	// Warm the entry at v0.
 	src0 := srv.rr.source(key, evg, v0, diffusion.SampleConfig{})
-	want0, err := src0.NodeSelectionSets(ctx, g0, diffusion.NewIC(), theta, 2)
+	want0, _, err := src0.NodeSelectionSets(ctx, g0, diffusion.NewIC(), theta, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +280,7 @@ func TestStaleSnapshotBypass(t *testing.T) {
 	}
 	g1, v1 := evg.Snapshot()
 	src1 := srv.rr.source(key, evg, v1, diffusion.SampleConfig{})
-	if _, err := src1.NodeSelectionSets(ctx, g1, diffusion.NewIC(), theta, 2); err != nil {
+	if _, _, err := src1.NodeSelectionSets(ctx, g1, diffusion.NewIC(), theta, 2); err != nil {
 		t.Fatal(err)
 	}
 	if src1.repaired == 0 {
@@ -289,9 +291,12 @@ func TestStaleSnapshotBypass(t *testing.T) {
 	// exactly the v0 bytes it would have gotten before the update, and
 	// the entry must stay at v1.
 	stale := srv.rr.source(key, evg, v0, diffusion.SampleConfig{})
-	got, err := stale.NodeSelectionSets(ctx, g0, diffusion.NewIC(), theta, 2)
+	got, gotIdx, err := stale.NodeSelectionSets(ctx, g0, diffusion.NewIC(), theta, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if gotIdx != nil {
+		t.Fatal("stale bypass returned a cover index; its private sample has none")
 	}
 	if len(got.Flat) != len(want0Flat) {
 		t.Fatalf("stale query shape: %d vs %d members", len(got.Flat), len(want0Flat))
@@ -307,7 +312,7 @@ func TestStaleSnapshotBypass(t *testing.T) {
 
 	// And the entry still answers the current version untouched.
 	src1b := srv.rr.source(key, evg, v1, diffusion.SampleConfig{})
-	cur, err := src1b.NodeSelectionSets(ctx, g1, diffusion.NewIC(), theta, 2)
+	cur, _, err := src1b.NodeSelectionSets(ctx, g1, diffusion.NewIC(), theta, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,5 +349,83 @@ func TestUpdateRepeatedQueriesCacheAcrossVersions(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/maximize", req, &m3)
 	if !m3.Cached || m3.GraphVersion != 1 {
 		t.Fatalf("repeat at same version not cached: %+v", m3)
+	}
+}
+
+// TestRRIndexBuiltOncePerCollectionState: the rr-store indexes an entry's
+// collection once per collection state. After warm-up, a query whose θ
+// the collection already holds builds no index, one that extends the
+// collection builds exactly one, and the first query after each update
+// (the repair changes the sets) builds exactly one. Each query's trace
+// holds one rr.index span per build the counter saw, and every answer
+// equals a cold server's at the same version.
+func TestRRIndexBuiltOncePerCollectionState(t *testing.T) {
+	srv, warm := newEvolveTestServer(t)
+	var applied []UpdateRequest
+	query := func(seed uint64, k int) (MaximizeResponse, int64) {
+		t.Helper()
+		req := MaximizeRequest{Dataset: "known", K: k, Epsilon: 0.3, Seed: &seed}
+		reqID := fmt.Sprintf("rr-index-%d", seed)
+		before := srv.rr.indexBuilds.Int()
+		var got, want MaximizeResponse
+		resp, raw := doRequest(t, http.MethodPost, warm.URL+"/v1/maximize", reqID, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("warm maximize: %d %s", resp.StatusCode, raw)
+		}
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatal(err)
+		}
+		built := srv.rr.indexBuilds.Int() - before
+		resp, raw = doRequest(t, http.MethodGet, warm.URL+"/v1/trace/"+reqID, "", nil)
+		var trace obs.TraceSnapshot
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &trace) != nil {
+			t.Fatalf("/v1/trace/%s: %d %s", reqID, resp.StatusCode, raw)
+		}
+		var spans int64
+		for _, sp := range trace.Spans {
+			if sp.Name == "rr.index" {
+				spans++
+			}
+		}
+		if spans != built {
+			t.Fatalf("seed %d: %d rr.index spans, counter rose by %d", seed, spans, built)
+		}
+		_, cold := newEvolveTestServer(t)
+		applyUpdates(t, cold.URL, applied)
+		if status, body := postJSON(t, cold.URL+"/v1/maximize", req, &want); status != http.StatusOK {
+			t.Fatalf("cold maximize: %d %s", status, body)
+		}
+		if !reflect.DeepEqual(maximizeEssence(got), maximizeEssence(want)) {
+			t.Fatalf("seed %d after %d updates: warm %+v, cold %+v", seed, len(applied), got, want)
+		}
+		return got, built
+	}
+
+	if _, built := query(1, 4); built != 1 {
+		t.Fatalf("cold entry built %d indexes, want 1", built)
+	}
+	warmHits := 0
+	for seed := uint64(2); seed < 12; seed++ {
+		got, built := query(seed, 2+int(seed%3))
+		want := int64(0)
+		if got.RRSetsSampled > 0 {
+			want = 1
+		} else {
+			warmHits++
+		}
+		if built != want {
+			t.Fatalf("seed %d (sampled %d sets): built %d indexes, want %d", seed, got.RRSetsSampled, built, want)
+		}
+	}
+	if warmHits == 0 {
+		t.Fatal("every query extended the collection; none exercised the warm index")
+	}
+	for i, u := range evolveTestUpdates() {
+		applyUpdates(t, warm.URL, []UpdateRequest{u})
+		applied = append(applied, u)
+		got, built := query(uint64(100+i), 3)
+		if got.RRSetsRepaired == 0 || built != 1 {
+			t.Fatalf("update %d: repaired %d sets and built %d indexes, want a repair and 1 build", i, got.RRSetsRepaired, built)
+		}
 	}
 }

@@ -160,7 +160,7 @@ func TestRRStoreMemoryAccountingExact(t *testing.T) {
 	srv.rr.mu.Lock()
 	var recomputed int64
 	for _, e := range srv.rr.entries {
-		recomputed += e.col.MemoryBytes()
+		recomputed += e.col.MemoryBytes() + e.idx.MemoryBytes()
 	}
 	reported := srv.rr.memoryTotal()
 	srv.rr.mu.Unlock()

@@ -17,6 +17,7 @@ import (
 	"repro/internal/evolve"
 	"repro/internal/fault"
 	"repro/internal/graph"
+	"repro/internal/maxcover"
 	"repro/internal/obs"
 )
 
@@ -67,6 +68,15 @@ import (
 //     a stale or foreign spill is never silently served. A promoted
 //     collection behind the query's snapshot version then goes through
 //     the ordinary repair path (or cold reset), exactly like a warm one.
+//
+// Each entry also owns the read-only cover index of its collection
+// (maxcover.Index), built lazily once per (version, set count) and shared
+// with every query the way prefix views of the collection are: a warm
+// query selects over (index, θ) instead of indexing θ sets itself, and a
+// repair finds its affected sets from the index's posting lists. The
+// entry replaces the index, never mutates it, whenever the collection
+// changes (repair, cold reset, extension); promotion starts without one,
+// demotion drops it, and the ledger charges it beside the arena.
 //
 // Spilled records have their own LRU order bounded by the disk budget;
 // the spill tier is a volatile cache (this index dies with the process),
@@ -121,6 +131,7 @@ type rrStore struct {
 	repairTotalMs     *obs.Counter
 	repairMaxMs       *obs.Gauge
 	staleBypasses     *obs.Counter
+	indexBuilds       *obs.Counter
 	demotions         *obs.Counter
 	promotions        *obs.Counter
 	spillDrops        *obs.Counter
@@ -142,10 +153,13 @@ type spillRecord struct {
 
 // rrEntry is one cached collection. version is the graph version the
 // collection's sets were (re)derived on; versioned records whether
-// version has been initialized by a first query.
+// version has been initialized by a first query. idx, when non-nil, is
+// the cover index of col at version; it is stale when idx.Sets() !=
+// col.Count() (an extension outgrew it) and is rebuilt, not patched.
 type rrEntry struct {
 	mu        sync.Mutex
 	col       *diffusion.RRCollection
+	idx       *maxcover.Index
 	seed      uint64
 	version   uint64
 	versioned bool
@@ -223,6 +237,7 @@ func newRRStore(cfg rrStoreConfig, reg *obs.Registry, ledger *obs.Ledger) *rrSto
 		repairTotalMs:     reg.Counter("timserver_rr_repair_ms_total", "Total milliseconds spent in incremental repairs."),
 		repairMaxMs:       reg.Gauge("timserver_rr_repair_max_ms", "Slowest single incremental repair in milliseconds."),
 		staleBypasses:     reg.Counter("timserver_rr_stale_bypasses_total", "Queries served from a private cold sample after racing behind the shared collection."),
+		indexBuilds:       reg.Counter("timserver_rr_index_builds_total", "Cover indexes built for shared RR collections (once per collection state)."),
 		demotions:         reg.Counter("timserver_rr_demotions_total", "Evicted RR collections demoted to the spill tier."),
 		promotions:        reg.Counter("timserver_rr_promotions_total", "Spilled RR collections promoted back into memory."),
 		spillDrops:        reg.Counter("timserver_rr_spill_drops_total", "Spilled collections dropped (disk budget, staleness mismatch, or corrupt file)."),
@@ -345,6 +360,7 @@ func (s *rrStore) evictLocked() []rrVictim {
 func (s *rrStore) demote(ctx context.Context, key string, v *rrEntry) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	v.idx = nil // the spill holds only the collection; a promoted entry rebuilds its own
 	s.mu.Lock()
 	rec := v.pendingSpill
 	v.pendingSpill = nil
@@ -448,7 +464,7 @@ func (s *rrStore) promote(ctx context.Context, key string, e *rrEntry, n int) {
 		span.Attr("dropped", true).End()
 		return
 	}
-	e.col = col
+	e.col, e.idx = col, nil
 	e.version, e.versioned = hdr.Version, true
 	s.promotions.Inc()
 	span.End()
@@ -578,8 +594,10 @@ func (s *rrStore) source(key string, evg *evolve.Graph, snapVersion uint64, cfg 
 // NodeSelectionSets implements tim.CollectionSource: bring the cached
 // collection to exactly the query's snapshot version (repairing
 // incrementally when the delta log allows, resetting cold otherwise),
-// extend it to θ sets if needed, and return the θ-prefix view.
-func (r *rrSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model diffusion.Model, theta int64, workers int) (*diffusion.RRCollection, error) {
+// extend it to θ sets if needed, and return the θ-prefix view with the
+// entry's cover index, built first if the collection changed since the
+// last one.
+func (r *rrSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model diffusion.Model, theta int64, workers int) (*diffusion.RRCollection, *maxcover.Index, error) {
 	span := obs.StartSpan(ctx, "rr.store").Attr("theta", theta).Attr("workers", int64(workers))
 	defer func() {
 		span.Attr("reused", r.reused).Attr("sampled", r.sampled).Attr("repaired", r.repaired).End()
@@ -601,7 +619,8 @@ func (r *rrSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model 
 		// — the same bytes a cold server at that version would draw —
 		// and leave the newer entry alone.
 		span.Attr("stale_bypass", true)
-		return r.sampleBypass(ctx, g, model, theta, workers)
+		col, err := r.sampleBypass(ctx, g, model, theta, workers)
+		return col, nil, err
 	}
 
 	var repairStats evolve.RepairStats
@@ -614,7 +633,11 @@ func (r *rrSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model 
 		start := time.Now()
 		delta, ok := r.evg.DeltaBetween(e.version, r.snapVersion)
 		if ok && e.col.Count() > 0 {
-			newCol, st, err := evolve.RepairConfig(ctx, g, model, r.cfg, e.col, delta, e.seed, workers)
+			// The pre-repair index locates the affected sets. Its node
+			// count may predate the delta's growth; a head beyond it is
+			// in no set, which the repair accounts for.
+			r.ensureIndex(ctx, e, g.N(), workers)
+			newCol, st, err := evolve.RepairConfig(ctx, g, model, r.cfg, e.col, e.idx, delta, e.seed, workers)
 			switch {
 			case err == nil:
 				e.col = newCol
@@ -623,7 +646,7 @@ func (r *rrSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model 
 			case errors.Is(err, evolve.ErrUnsupportedModel):
 				coldReset = true
 			default:
-				return nil, err // context cancellation and the like
+				return nil, nil, err // context cancellation and the like
 			}
 		} else if !ok {
 			// The delta log no longer reaches back to the entry's
@@ -633,6 +656,8 @@ func (r *rrSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model 
 		if coldReset {
 			e.col = &diffusion.RRCollection{Off: []int64{0}}
 		}
+		// Whatever happened, the index describes the old version.
+		e.idx = nil
 		e.version = r.snapVersion
 		repairMs = float64(time.Since(start).Microseconds()) / 1000
 		r.repaired = repairStats.Repaired
@@ -652,10 +677,13 @@ func (r *rrSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model 
 	} else {
 		r.reused = theta
 	}
-	memory := e.col.MemoryBytes()
+	if extErr == nil {
+		r.ensureIndex(ctx, e, g.N(), workers)
+	}
+	memory := e.col.MemoryBytes() + e.idx.MemoryBytes()
 	r.memory = memory
 	if err := fault.Hit(faultRREvictMidExtend); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	r.store.setsReused.Add(float64(r.reused))
@@ -685,9 +713,23 @@ func (r *rrSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model 
 	r.store.mu.Unlock()
 
 	if extErr != nil {
-		return nil, extErr
+		return nil, nil, extErr
 	}
-	return e.col.Prefix(int(theta)), nil
+	return e.col.Prefix(int(theta)), e.idx, nil
+}
+
+// ensureIndex makes e.idx the cover index of exactly e.col, building a
+// fresh one when there is none or the collection outgrew it. The index
+// is allocated for keeping (maxcover.NewIndex), never copied out of the
+// selection scratch pools. Caller holds e.mu.
+func (r *rrSource) ensureIndex(ctx context.Context, e *rrEntry, n, workers int) {
+	if e.idx != nil && e.idx.Sets() == e.col.Count() {
+		return
+	}
+	span := obs.StartSpan(ctx, "rr.index").Attr("sets", int64(e.col.Count()))
+	e.idx = maxcover.NewIndex(n, e.col, workers)
+	r.store.indexBuilds.Inc()
+	span.Attr("bytes", e.idx.MemoryBytes()).End()
 }
 
 // sampleBypass serves one query from a private collection sampled cold

@@ -16,7 +16,9 @@
 //     extends the cached collection by θ₂ − θ₁ sets instead of
 //     resampling from scratch — the Borgs et al. amortization argument
 //     turned into a data structure. Extensions are prefix-deterministic,
-//     so a warm cache can never change an answer, only skip work.
+//     so a warm cache can never change an answer, only skip work. Each
+//     collection's cover index is likewise built once per collection
+//     state and shared, so warm queries skip re-indexing θ sets too.
 //
 // Datasets are mutable: POST /v1/update applies a batched topology
 // mutation (edge inserts/deletes, node growth) through the evolving-graph

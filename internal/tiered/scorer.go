@@ -28,8 +28,8 @@
 package tiered
 
 import (
-	"container/heap"
 	"sort"
+	"sync"
 
 	"repro/internal/evolve"
 	"repro/internal/graph"
@@ -150,34 +150,104 @@ func (s *Scorer) Refresh(newG *graph.Graph, delta evolve.Delta) int {
 	return len(affected)
 }
 
-// scoreHeap is a max-heap of (value, node) with deterministic tie-break
-// on the node id, used by Select's lazy frontier.
+// scoreHeap is a max-heap of (value, node) over parallel slices, ordered
+// by value descending with ties toward the lower node id. The order is
+// strict for distinct nodes and Select never holds a node twice, so the
+// pop sequence does not depend on the heap's internal layout.
 type scoreHeap struct {
 	val  []float64
 	node []uint32
 }
 
-func (h *scoreHeap) Len() int { return len(h.node) }
-func (h *scoreHeap) Less(i, j int) bool {
+func (h *scoreHeap) less(i, j int) bool {
 	if h.val[i] != h.val[j] {
 		return h.val[i] > h.val[j]
 	}
 	return h.node[i] < h.node[j]
 }
-func (h *scoreHeap) Swap(i, j int) {
+
+func (h *scoreHeap) swap(i, j int) {
 	h.val[i], h.val[j] = h.val[j], h.val[i]
 	h.node[i], h.node[j] = h.node[j], h.node[i]
 }
-func (h *scoreHeap) Push(x any) {
-	p := x.([2]float64)
-	h.val = append(h.val, p[0])
-	h.node = append(h.node, uint32(p[1]))
+
+func (h *scoreHeap) push(v float64, u uint32) {
+	h.val = append(h.val, v)
+	h.node = append(h.node, u)
+	for j := len(h.node) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
 }
-func (h *scoreHeap) Pop() any {
+
+func (h *scoreHeap) pop() (float64, uint32) {
 	n := len(h.node) - 1
+	h.swap(0, n)
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
 	v, u := h.val[n], h.node[n]
 	h.val, h.node = h.val[:n], h.node[:n]
-	return [2]float64{v, float64(u)}
+	return v, u
+}
+
+// selectScratch is one Select call's working state, recycled through
+// selectPool. Between calls has and picked are all-false over their full
+// capacity and the heap is empty: a call resets exactly the entries it
+// set (touched, the picked seeds and the in-range excludes) instead of
+// clearing O(n) memory, and overlay needs no reset because has guards it.
+type selectScratch struct {
+	overlay []float64 // overlay[u]: u's discounted score, valid where has[u]
+	has     []bool
+	picked  []bool // picked or excluded
+	touched []uint32
+	heap    scoreHeap
+}
+
+var selectPool sync.Pool
+
+// getSelectScratch returns a scratch covering n nodes, from the pool when
+// one there is large enough (scorers of every dataset share the pool).
+func getSelectScratch(n int) *selectScratch {
+	if v, ok := selectPool.Get().(*selectScratch); ok && cap(v.has) >= n {
+		v.overlay, v.has, v.picked = v.overlay[:n], v.has[:n], v.picked[:n]
+		return v
+	}
+	return &selectScratch{overlay: make([]float64, n), has: make([]bool, n), picked: make([]bool, n)}
+}
+
+// putSelectScratch restores the pool invariant and returns sc to the
+// pool; seeds and exclude are the picked marks the call set.
+func putSelectScratch(sc *selectScratch, seeds, exclude []uint32) {
+	for _, u := range sc.touched {
+		sc.has[u] = false
+	}
+	for _, u := range seeds {
+		sc.picked[u] = false
+	}
+	for _, u := range exclude {
+		if int(u) < len(sc.picked) {
+			sc.picked[u] = false
+		}
+	}
+	sc.touched = sc.touched[:0]
+	sc.heap.val, sc.heap.node = sc.heap.val[:0], sc.heap.node[:0]
+	selectPool.Put(sc)
 }
 
 // Select picks k seeds greedily by discounted score: each pick
@@ -191,66 +261,73 @@ func (h *scoreHeap) Pop() any {
 //
 // Selection is deterministic (score-descending, id-ascending
 // tie-break) and read-only on the Scorer: per-query discounts live in a
-// private overlay, so concurrent Selects do not interfere.
+// private pooled scratch, so concurrent Selects do not interfere and a
+// warm call allocates only the returned slice.
 func (s *Scorer) Select(k int, force, exclude []uint32) ([]uint32, float64) {
 	n := len(s.score)
-	overlay := make(map[uint32]float64, 8*(k+len(force))+len(exclude))
+	sc := getSelectScratch(n)
+	seeds := make([]uint32, 0, k+len(force))
+	defer func() { putSelectScratch(sc, seeds, exclude) }()
 	cur := func(u uint32) float64 {
-		if v, ok := overlay[u]; ok {
-			return v
+		if sc.has[u] {
+			return sc.overlay[u]
 		}
 		return s.score[u]
 	}
 	discount := func(u uint32) {
 		nbrs, w := s.g.OutNeighbors(u)
 		for i, v := range nbrs {
-			overlay[v] = cur(v) * (1 - float64(w[i]))
+			if !sc.has[v] {
+				sc.has[v] = true
+				sc.overlay[v] = s.score[v]
+				sc.touched = append(sc.touched, v)
+			}
+			sc.overlay[v] *= 1 - float64(w[i])
 		}
 	}
-	seeds := make([]uint32, 0, k+len(force))
-	picked := make(map[uint32]struct{}, k+len(force)+len(exclude))
 	est := 0.0
 	for _, u := range exclude {
-		picked[u] = struct{}{}
+		if int(u) < n {
+			sc.picked[u] = true
+		}
 	}
 	for _, u := range force {
-		if _, dup := picked[u]; dup || int(u) >= n {
+		if int(u) >= n || sc.picked[u] {
 			continue
 		}
-		picked[u] = struct{}{}
+		sc.picked[u] = true
 		seeds = append(seeds, u)
 		est += cur(u)
 		discount(u)
 	}
 
-	h := &scoreHeap{}
+	h := &sc.heap
 	cursor := 0
 	for taken := 0; taken < k && len(seeds) < n; {
 		// Keep the frontier invariant: the heap top dominates every node
 		// not yet pushed, because un-pushed nodes sit at their base score
 		// and discounts only lower scores. Only then is popping the top
 		// the true greedy pick over all n nodes.
-		for cursor < n && (h.Len() == 0 || h.val[0] < s.score[s.sorted[cursor]]) {
+		for cursor < n && (len(h.node) == 0 || h.val[0] < s.score[s.sorted[cursor]]) {
 			u := s.sorted[cursor]
 			cursor++
-			heap.Push(h, [2]float64{cur(u), float64(u)})
+			h.push(cur(u), u)
 		}
-		if h.Len() == 0 {
+		if len(h.node) == 0 {
 			break
 		}
-		top := heap.Pop(h).([2]float64)
-		u := uint32(top[1])
-		if top[0] != cur(u) {
+		v, u := h.pop()
+		if v != cur(u) {
 			// Stale entry: the node was discounted after being pushed.
-			heap.Push(h, [2]float64{cur(u), float64(u)})
+			h.push(cur(u), u)
 			continue
 		}
-		if _, skip := picked[u]; skip {
+		if sc.picked[u] {
 			continue
 		}
-		picked[u] = struct{}{}
+		sc.picked[u] = true
 		seeds = append(seeds, u)
-		est += top[0]
+		est += v
 		taken++
 		discount(u)
 	}

@@ -1,6 +1,9 @@
 package tiered
 
 import (
+	"container/heap"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -148,5 +151,197 @@ func TestSelectKLargerThanN(t *testing.T) {
 	seeds, _ := sc.Select(10, nil, nil)
 	if len(seeds) != 3 {
 		t.Fatalf("got %d seeds from a 3-node graph, want 3", len(seeds))
+	}
+}
+
+// referenceSelect is Scorer.Select as it was written before its scratch
+// became pooled and dense: a map overlay, a map of picked nodes, and
+// container/heap over boxed [2]float64 entries. It is kept verbatim as
+// the oracle the pooled implementation must match bit for bit — picks
+// and spread estimate.
+func referenceSelect(s *Scorer, k int, force, exclude []uint32) ([]uint32, float64) {
+	n := len(s.score)
+	overlay := make(map[uint32]float64, 8*(k+len(force))+len(exclude))
+	cur := func(u uint32) float64 {
+		if v, ok := overlay[u]; ok {
+			return v
+		}
+		return s.score[u]
+	}
+	discount := func(u uint32) {
+		nbrs, w := s.g.OutNeighbors(u)
+		for i, v := range nbrs {
+			overlay[v] = cur(v) * (1 - float64(w[i]))
+		}
+	}
+	seeds := make([]uint32, 0, k+len(force))
+	picked := make(map[uint32]struct{}, k+len(force)+len(exclude))
+	est := 0.0
+	for _, u := range exclude {
+		picked[u] = struct{}{}
+	}
+	for _, u := range force {
+		if _, dup := picked[u]; dup || int(u) >= n {
+			continue
+		}
+		picked[u] = struct{}{}
+		seeds = append(seeds, u)
+		est += cur(u)
+		discount(u)
+	}
+
+	h := &refHeap{}
+	cursor := 0
+	for taken := 0; taken < k && len(seeds) < n; {
+		for cursor < n && (h.Len() == 0 || h.val[0] < s.score[s.sorted[cursor]]) {
+			u := s.sorted[cursor]
+			cursor++
+			heap.Push(h, [2]float64{cur(u), float64(u)})
+		}
+		if h.Len() == 0 {
+			break
+		}
+		top := heap.Pop(h).([2]float64)
+		u := uint32(top[1])
+		if top[0] != cur(u) {
+			heap.Push(h, [2]float64{cur(u), float64(u)})
+			continue
+		}
+		if _, skip := picked[u]; skip {
+			continue
+		}
+		picked[u] = struct{}{}
+		seeds = append(seeds, u)
+		est += top[0]
+		taken++
+		discount(u)
+	}
+	if est > float64(n) {
+		est = float64(n)
+	}
+	return seeds, est
+}
+
+// refHeap is the container/heap max-heap referenceSelect used.
+type refHeap struct {
+	val  []float64
+	node []uint32
+}
+
+func (h *refHeap) Len() int { return len(h.node) }
+func (h *refHeap) Less(i, j int) bool {
+	if h.val[i] != h.val[j] {
+		return h.val[i] > h.val[j]
+	}
+	return h.node[i] < h.node[j]
+}
+func (h *refHeap) Swap(i, j int) {
+	h.val[i], h.val[j] = h.val[j], h.val[i]
+	h.node[i], h.node[j] = h.node[j], h.node[i]
+}
+func (h *refHeap) Push(x any) {
+	p := x.([2]float64)
+	h.val = append(h.val, p[0])
+	h.node = append(h.node, uint32(p[1]))
+}
+func (h *refHeap) Pop() any {
+	n := len(h.node) - 1
+	v, u := h.val[n], h.node[n]
+	h.val, h.node = h.val[:n], h.node[:n]
+	return [2]float64{v, float64(u)}
+}
+
+// randomIDs draws up to max ids in [0, n+4): duplicates and out-of-range
+// ids on purpose.
+func randomIDs(r *rng.Rand, n, max int) []uint32 {
+	ids := make([]uint32, r.Intn(max+1))
+	for i := range ids {
+		ids[i] = uint32(r.Intn(n + 4))
+		if i > 0 && r.Intn(4) == 0 {
+			ids[i] = ids[i-1]
+		}
+	}
+	return ids
+}
+
+// TestSelectMatchesReference pins Select — picks and spread estimate,
+// bit for bit — against referenceSelect on random graphs, before and
+// after a Refresh that grows the node count, for k in 1..50 and random
+// force/exclude lists. Back-to-back calls on one scorer also check that
+// no per-call state leaks between Selects.
+func TestSelectMatchesReference(t *testing.T) {
+	r := rng.New(21)
+	for trial := 0; trial < 12; trial++ {
+		n := 30 + r.Intn(300)
+		g := gen.ErdosRenyiGnm(n, 4*n+r.Intn(6*n), rng.New(uint64(trial)+100))
+		graph.AssignWeightedCascade(g)
+		eg := evolve.New(g, evolve.WeightedCascade{}, evolve.Options{})
+		snap, v0 := eg.Snapshot()
+		sc := NewScorer(snap)
+		check := func(stage string) {
+			t.Helper()
+			for q := 0; q < 25; q++ {
+				k := 1 + r.Intn(50)
+				var force, exclude []uint32
+				if q%2 == 1 {
+					force = randomIDs(r, sc.N(), 5)
+					exclude = randomIDs(r, sc.N(), 8)
+				}
+				got, gotEst := sc.Select(k, force, exclude)
+				want, wantEst := referenceSelect(sc, k, force, exclude)
+				label := fmt.Sprintf("trial %d %s q=%d k=%d force=%v exclude=%v", trial, stage, q, k, force, exclude)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: picks %v, reference %v", label, got, want)
+				}
+				if math.Float64bits(gotEst) != math.Float64bits(wantEst) {
+					t.Fatalf("%s: estimate %v, reference %v", label, gotEst, wantEst)
+				}
+			}
+		}
+		check("built")
+		grow := evolve.Batch{AddNodes: 1 + r.Intn(20)}
+		for i := 0; i < 10; i++ {
+			grow.Inserts = append(grow.Inserts, graph.Edge{
+				From: uint32(r.Intn(n + grow.AddNodes)), To: uint32(r.Intn(n + grow.AddNodes)), Weight: 0.5})
+		}
+		v1, err := eg.Apply(grow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newSnap, _ := eg.Snapshot()
+		delta, ok := eg.DeltaBetween(v0, v1)
+		if !ok {
+			t.Fatal("delta log lost")
+		}
+		sc.Refresh(newSnap, delta)
+		check("refreshed")
+	}
+}
+
+// BenchmarkScorerSelect measures one fast-tier selection on the dblp
+// stand-in the serve-light workload uses (80k nodes; the tiny scale under
+// -short), with its allocations: Select's scratch is pooled, so the
+// result slice is all a call should allocate.
+func BenchmarkScorerSelect(b *testing.B) {
+	scale := gen.ScaleSmall
+	if testing.Short() {
+		scale = gen.ScaleTiny
+	}
+	p, err := gen.ProfileByName("dblp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := p.Generate(scale, 13)
+	graph.AssignWeightedCascade(g)
+	sc := NewScorer(g)
+	for _, k := range []int{10, 20, 50} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if seeds, _ := sc.Select(k, nil, nil); len(seeds) != k {
+					b.Fatalf("picked %d seeds, want %d", len(seeds), k)
+				}
+			}
+		})
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"repro/internal/diffusion"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/maxcover"
+	"repro/internal/query"
 	"repro/internal/rng"
 )
 
@@ -53,15 +55,15 @@ type recordingSource struct {
 	thetas []int64
 }
 
-func (s *recordingSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model diffusion.Model, theta int64, workers int) (*diffusion.RRCollection, error) {
+func (s *recordingSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model diffusion.Model, theta int64, workers int) (*diffusion.RRCollection, *maxcover.Index, error) {
 	s.thetas = append(s.thetas, theta)
 	if s.col == nil {
 		s.col = &diffusion.RRCollection{}
 	}
 	if err := diffusion.ExtendCollection(ctx, g, model, s.col, theta, s.seed, workers); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return s.col, nil
+	return s.col, nil, nil
 }
 
 // TestCollectionSourceHook: Maximize consumes the supplied collection,
@@ -102,10 +104,10 @@ func TestCollectionSourceHook(t *testing.T) {
 // shortSource returns fewer sets than requested: Maximize must reject it.
 type shortSource struct{}
 
-func (shortSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model diffusion.Model, theta int64, workers int) (*diffusion.RRCollection, error) {
+func (shortSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model diffusion.Model, theta int64, workers int) (*diffusion.RRCollection, *maxcover.Index, error) {
 	col := &diffusion.RRCollection{}
 	err := diffusion.ExtendCollection(ctx, g, model, col, 1, 1, 1)
-	return col, err
+	return col, nil, err
 }
 
 func TestCollectionSourceTooShort(t *testing.T) {
@@ -114,5 +116,54 @@ func TestCollectionSourceTooShort(t *testing.T) {
 	_, err := Maximize(g, diffusion.NewIC(), Options{K: 10, Epsilon: 0.1, Seed: 9, Source: shortSource{}})
 	if !errors.Is(err, ErrBadSource) {
 		t.Fatalf("want ErrBadSource for a short source, got %v", err)
+	}
+}
+
+// indexedSource serves the θ-prefix of a collection sampled past θ, with
+// an index built over the whole collection — the shape of the server's
+// rr-store. nodes and short distort the index to break the contract.
+type indexedSource struct {
+	seed         uint64
+	extra        int64
+	nodes, short int
+}
+
+func (s indexedSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model diffusion.Model, theta int64, workers int) (*diffusion.RRCollection, *maxcover.Index, error) {
+	col := &diffusion.RRCollection{}
+	if err := diffusion.ExtendCollection(ctx, g, model, col, theta+s.extra, s.seed, workers); err != nil {
+		return nil, nil, err
+	}
+	idx := maxcover.NewIndex(g.N()+s.nodes, col.Prefix(col.Count()-s.short), workers)
+	return col.Prefix(int(theta)), idx, nil
+}
+
+// TestCollectionSourceIndex: selecting over a source's index built past θ
+// gives exactly the answer of the per-call index, and an index that does
+// not cover the graph's nodes or the returned sets is ErrBadSource.
+func TestCollectionSourceIndex(t *testing.T) {
+	g := gen.BarabasiAlbert(250, 3, rng.New(3))
+	graph.AssignWeightedCascade(g)
+	run := func(src CollectionSource, q *query.Spec) (*Result, error) {
+		return Maximize(g, diffusion.NewIC(), Options{K: 10, Epsilon: 0.3, Seed: 9, Source: src, Query: q})
+	}
+	for _, q := range []*query.Spec{nil, {Exclude: []uint32{0, 1, 2}, Force: []uint32{7}}} {
+		want, err := run(&recordingSource{seed: 42}, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := run(indexedSource{seed: 42, extra: 500}, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Seeds) != fmt.Sprint(want.Seeds) || got.Theta != want.Theta ||
+			got.SpreadEstimate != want.SpreadEstimate {
+			t.Fatalf("indexed source: seeds %v θ=%d spread %v, per-call index: %v θ=%d spread %v",
+				got.Seeds, got.Theta, got.SpreadEstimate, want.Seeds, want.Theta, want.SpreadEstimate)
+		}
+	}
+	for _, bad := range []indexedSource{{seed: 42, nodes: 1}, {seed: 42, extra: 5, short: 6}} {
+		if _, err := run(bad, nil); !errors.Is(err, ErrBadSource) {
+			t.Fatalf("%+v: want ErrBadSource, got %v", bad, err)
+		}
 	}
 }

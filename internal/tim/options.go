@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/diffusion"
 	"repro/internal/graph"
+	"repro/internal/maxcover"
 	"repro/internal/query"
 	"repro/internal/stats"
 )
@@ -137,6 +138,15 @@ type Options struct {
 // count actually used. The returned collection must not be mutated
 // afterwards while the Result is in use.
 //
+// The source may also return a read-only maxcover.Index over the
+// collection it keeps — built once and shared across queries the way the
+// collection's prefix views are — so Maximize selects over (index, θ)
+// instead of indexing the θ sets itself. The index must cover g's nodes
+// (N() == g.N()) and at least the returned sets, of which they must be a
+// prefix: the returned collection is the θ-prefix of what the index
+// indexes. A nil index means Maximize builds one for this call. Like the
+// collection, the index must not be mutated while the Result is in use.
+//
 // Snapshot contract: the g passed to NodeSelectionSets is the same graph
 // the whole Maximize call runs against — parameter estimation,
 // refinement, and node selection all see one coherent view. Callers
@@ -148,7 +158,7 @@ type Options struct {
 // by repairing its cached collection to the query's snapshot version
 // (evolve.Repair) before extending it to θ.
 type CollectionSource interface {
-	NodeSelectionSets(ctx context.Context, g *graph.Graph, model diffusion.Model, theta int64, workers int) (*diffusion.RRCollection, error)
+	NodeSelectionSets(ctx context.Context, g *graph.Graph, model diffusion.Model, theta int64, workers int) (*diffusion.RRCollection, *maxcover.Index, error)
 }
 
 // ErrBadOptions wraps every option-validation failure. It indicates a
@@ -156,7 +166,7 @@ type CollectionSource interface {
 var ErrBadOptions = errors.New("tim: invalid options")
 
 // ErrBadSource reports a CollectionSource contract violation (fewer than
-// θ sets returned). Unlike ErrBadOptions this is a defect in the source
+// θ sets returned, or an index that does not cover them). Unlike ErrBadOptions this is a defect in the source
 // implementation, not in the query that triggered it.
 var ErrBadSource = errors.New("tim: CollectionSource contract violation")
 

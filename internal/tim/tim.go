@@ -145,9 +145,10 @@ func MaximizeContext(ctx context.Context, g *graph.Graph, model diffusion.Model,
 		return res, nil
 	}
 	var col *diffusion.RRCollection
+	var idx *maxcover.Index
 	if opts.Source != nil {
 		var err error
-		col, err = opts.Source.NodeSelectionSets(ctx, g, model, theta, opts.Workers)
+		col, idx, err = opts.Source.NodeSelectionSets(ctx, g, model, theta, opts.Workers)
 		if err != nil {
 			selSpan.End()
 			return nil, err
@@ -156,6 +157,11 @@ func MaximizeContext(ctx context.Context, g *graph.Graph, model diffusion.Model,
 			selSpan.End()
 			return nil, fmt.Errorf("%w: returned %d RR sets, need θ=%d",
 				ErrBadSource, col.Count(), theta)
+		}
+		if idx != nil && (idx.N() != n || idx.Sets() < col.Count()) {
+			selSpan.End()
+			return nil, fmt.Errorf("%w: index covers %d nodes and %d sets, need %d nodes and %d sets",
+				ErrBadSource, idx.N(), idx.Sets(), n, col.Count())
 		}
 		theta = int64(col.Count())
 	} else {
@@ -170,7 +176,12 @@ func MaximizeContext(ctx context.Context, g *graph.Graph, model diffusion.Model,
 			return nil, err
 		}
 	}
-	sel := maxcover.GreedyConstrained(n, col, cover)
+	var sel maxcover.Result
+	if idx != nil {
+		sel = maxcover.GreedyIndex(idx, col, cover)
+	} else {
+		sel = maxcover.GreedyConstrained(n, col, cover)
+	}
 	selSpan.Attr("covered", sel.Covered).End()
 	res.Timings.NodeSelection = time.Since(t2)
 

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/diffusion"
+	"repro/internal/maxcover"
 	"repro/internal/query"
 	"repro/internal/rng"
 	"repro/internal/spread"
@@ -85,16 +86,24 @@ func MaximizeContext(ctx context.Context, g *Graph, model Model, opts Options) (
 // for the prefix-deterministic way to grow one.
 type RRCollection = diffusion.RRCollection
 
+// CoverIndex is the read-only node → RR-set inverted index node selection
+// runs over. A CollectionSource may return one, built once per collection
+// state, beside each θ-prefix view it serves, so repeated queries stop
+// re-indexing the same sets; a nil index makes Maximize build one per
+// call. See maxcover.NewIndex in internal/maxcover.
+type CoverIndex = maxcover.Index
+
 // CollectionSource is the RR-collection reuse hook of Options.Source: a
 // long-lived caller can supply node-selection RR collections from a
 // cache that is extended — never resampled — as θ grows across queries.
-// Implementations return an *RRCollection with at least θ sets; see
-// tim.CollectionSource for the exact contract and internal/server for
-// the canonical implementation.
+// Implementations return an *RRCollection with at least θ sets and an
+// optional *CoverIndex over it; see tim.CollectionSource for the exact
+// contract and internal/server for the canonical implementation.
 type CollectionSource = tim.CollectionSource
 
 // ErrBadSource is returned by Maximize when a CollectionSource violates
-// its contract (fewer than θ sets returned).
+// its contract (fewer than θ sets returned, or an index that does not
+// cover them).
 var ErrBadSource = tim.ErrBadSource
 
 // SpreadOptions configures EstimateSpread.
