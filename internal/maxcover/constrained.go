@@ -67,9 +67,12 @@ func GreedyConstrained(n int, col *diffusion.RRCollection, c Constraints) Result
 }
 
 // greedyConstrained is GreedyIndex's constrained half: forced seeds,
-// exclusions and budgets, over the θ = col.Count() prefix of idx.
-func greedyConstrained(idx *Index, col *diffusion.RRCollection, c Constraints) Result {
-	n := idx.N()
+// exclusions and budgets, over the θ = col.Count() prefix of s's index.
+// Budget mode runs on an eager selection (GreedyIndex asks newSelection
+// for one): its gain/cost ranking makes stale pops frequent enough that
+// a posting walk per re-check costs more than decrementing members.
+func (s *selection) greedyConstrained(c Constraints) Result {
+	n := s.idx.N()
 	k := clampK(c.K, n)
 	res := Result{
 		Seeds:     make([]uint32, 0, k+len(c.Force)),
@@ -78,32 +81,32 @@ func greedyConstrained(idx *Index, col *diffusion.RRCollection, c Constraints) R
 	if n == 0 {
 		return res
 	}
-	count := i64Pool.get(n, false)
-	idx.prefixCounts(col.Count(), count)
-	coveredSet := boolPool.get(col.Count())
-	selected := boolPool.get(n)
-	defer func() {
-		i64Pool.put(count)
-		boolPool.put(coveredSet)
-		boolPool.put(selected)
-	}()
-	excluded := make([]bool, n)
+	excluded := seedMarks.get(n)
 	for _, v := range c.Exclude {
 		if int(v) < n {
 			excluded[v] = true
 		}
 	}
+	defer func() {
+		// Sparse reset: the seedMarks pool keeps every slice all-false.
+		for _, v := range c.Exclude {
+			if int(v) < n {
+				excluded[v] = false
+			}
+		}
+		seedMarks.put(excluded)
+	}()
 
 	// Warm-start: cover the forced nodes first, recording their marginal
 	// coverage in order, so the greedy picks below optimize genuinely
 	// marginal gain over what the caller has already seeded.
 	for _, v := range c.Force {
-		if int(v) >= n || selected[v] {
+		if int(v) >= n || s.selected[v] {
 			continue
 		}
-		selected[v] = true
-		gain := count[v]
-		coverNode(idx, col, v, count, coveredSet)
+		s.selected[v] = true
+		gain := s.gain(v)
+		s.cover(v)
 		res.Seeds = append(res.Seeds, v)
 		res.Marginals = append(res.Marginals, gain)
 		res.Covered += gain
@@ -114,12 +117,12 @@ func greedyConstrained(idx *Index, col *diffusion.RRCollection, c Constraints) R
 		return res
 	}
 	if c.Budget <= 0 {
-		greedyLazy(idx, col, count, coveredSet, selected, excluded, k, nil, 0, false, &res)
+		s.lazyGreedy(excluded, k, nil, 0, false, &res)
 		// Pad with zero-marginal eligible nodes, as the bucket greedy
 		// does, so cardinality queries keep the "exactly k picks" contract.
 		for v := 0; v < n && len(res.Seeds)-res.Forced < k; v++ {
-			if !selected[v] && !excluded[v] {
-				selected[v] = true
+			if !s.selected[v] && !excluded[v] {
+				s.selected[v] = true
 				res.Seeds = append(res.Seeds, uint32(v))
 				res.Marginals = append(res.Marginals, 0)
 			}
@@ -127,19 +130,19 @@ func greedyConstrained(idx *Index, col *diffusion.RRCollection, c Constraints) R
 		return res
 	}
 
-	// Budget mode: run ratio and uniform passes on copies of the
-	// post-forced state, keep the better cover.
+	// Budget mode: run ratio and uniform passes from the post-forced
+	// state, keep the better cover.
 	ratio := res
 	ratio.Seeds = append([]uint32(nil), res.Seeds...)
 	ratio.Marginals = append([]int64(nil), res.Marginals...)
-	greedyLazy(idx, col, cloneI64(count), cloneBool(coveredSet),
-		cloneBool(selected), excluded, k, c.Costs, c.Budget, true, &ratio)
+	rs := s.fork()
+	rs.lazyGreedy(excluded, k, c.Costs, c.Budget, true, &ratio)
+	rs.release()
 
 	uniform := res
 	uniform.Seeds = append([]uint32(nil), res.Seeds...)
 	uniform.Marginals = append([]int64(nil), res.Marginals...)
-	greedyLazy(idx, col, count, coveredSet,
-		selected, excluded, k, c.Costs, c.Budget, false, &uniform)
+	s.lazyGreedy(excluded, k, c.Costs, c.Budget, false, &uniform)
 
 	if ratio.Covered >= uniform.Covered {
 		return ratio
@@ -147,7 +150,7 @@ func greedyConstrained(idx *Index, col *diffusion.RRCollection, c Constraints) R
 	return uniform
 }
 
-// greedyLazy is a CELF-style lazy greedy: a max-heap of (stale) marginal
+// lazyGreedy is a CELF-style lazy greedy: a max-heap of (stale) marginal
 // gains, re-evaluated on pop. budget <= 0 means cardinality-only; costs
 // nil means unit costs. It appends picks to res and updates Covered/Cost.
 //
@@ -155,10 +158,14 @@ func greedyConstrained(idx *Index, col *diffusion.RRCollection, c Constraints) R
 // ratio pass) or raw gain (the cost-oblivious pass); both respect
 // affordability: a popped node whose cost exceeds the remaining budget is
 // dropped from candidacy and the scan continues.
-func greedyLazy(idx *Index, col *diffusion.RRCollection, count []int64,
-	coveredSet []bool, selected, excluded []bool, k int, costs []float64, budget float64, rankByRatio bool, res *Result) {
-
-	n := idx.N()
+//
+// The heap starts from the cached counts, not recounted ones. After forced
+// picks they are upper bounds of the true gains, which is all CELF needs:
+// every entry's score bounds its node's true score, so a top entry whose
+// gain re-checks unchanged is the true maximum under (score desc, id asc)
+// however stale the entries below it are.
+func (s *selection) lazyGreedy(excluded []bool, k int, costs []float64, budget float64, rankByRatio bool, res *Result) {
+	n := s.idx.N()
 	costOf := func(v uint32) float64 {
 		if costs == nil {
 			return 1
@@ -171,21 +178,21 @@ func greedyLazy(idx *Index, col *diffusion.RRCollection, count []int64,
 		}
 		return float64(gain)
 	}
-	h := candidateHeap{}
+	h := s.heap[:0]
 	for v := 0; v < n; v++ {
-		if selected[v] || excluded[v] || count[v] == 0 {
+		if s.selected[v] || excluded[v] || s.count[v] == 0 {
 			continue
 		}
-		h = append(h, candidate{node: uint32(v), gain: count[v], score: scoreOf(uint32(v), count[v])})
+		h = append(h, candidate{node: uint32(v), gain: s.count[v], score: scoreOf(uint32(v), s.count[v])})
 	}
 	heap.Init(&h)
 	remaining := budget
 	picks := 0
 	for picks < k && h.Len() > 0 {
 		top := h[0]
-		if count[top.node] != top.gain {
+		if g := s.gain(top.node); g != top.gain {
 			// Stale: re-score with the current gain and reposition.
-			top.gain = count[top.node]
+			top.gain = g
 			top.score = scoreOf(top.node, top.gain)
 			h[0] = top
 			heap.Fix(&h, 0)
@@ -199,7 +206,7 @@ func greedyLazy(idx *Index, col *diffusion.RRCollection, count []int64,
 			continue // unaffordable now, and costs never shrink: drop it
 		}
 		v := top.node
-		selected[v] = true
+		s.selected[v] = true
 		res.Seeds = append(res.Seeds, v)
 		res.Marginals = append(res.Marginals, top.gain)
 		res.Covered += top.gain
@@ -208,12 +215,10 @@ func greedyLazy(idx *Index, col *diffusion.RRCollection, count []int64,
 			res.Cost += costOf(v)
 		}
 		picks++
-		coverNode(idx, col, v, count, coveredSet)
+		s.cover(v)
 	}
+	s.heap = h[:0]
 }
-
-func cloneI64(xs []int64) []int64 { return append([]int64(nil), xs...) }
-func cloneBool(xs []bool) []bool  { return append([]bool(nil), xs...) }
 
 // candidate is one heap entry of the lazy greedy.
 type candidate struct {

@@ -5,12 +5,23 @@
 // node covering the most still-uncovered sets — the classic
 // (1 − 1/e)-approximation for maximum coverage.
 //
-// The implementation is the linear-time bucket variant: exact coverage
-// counts are maintained under decrements (each set contributes to count
-// updates exactly once, when it first becomes covered), and the current
-// maximum is tracked with lazily repositioned count buckets. Total work is
-// O(Σ|R| + n + k), matching the "linear-time implementation" the paper
-// relies on for its complexity claims.
+// The implementation is the linear-time bucket variant with coverage
+// counts computed on demand (selection.go). A pick sets the bits of its
+// posting list in a θ-bit cover bitmap, and a node's count is recounted
+// from its own posting list against that bitmap only when the greedy
+// reads it after a pick; the current maximum is tracked with lazily
+// repositioned count buckets. The greedy reads the counts of only the
+// nodes it pops, so a selection reads far fewer postings than keeping
+// every count exact would — yet each count it reads equals the exact one,
+// so the answer is the eager greedy's, bit for bit. A work cap keeps the
+// bound on adversarial input: once recounts have read as many postings as
+// the θ-prefix has members, the selection finishes with eager decrements
+// (each newly covered set decrements its members' counts once), and a
+// node counted before the switch is recounted once more, when next read.
+// Lazy recounts, the recounts after the switch and the decrements each
+// cost at most Σ|R|, so total work is O(Σ|R| + n + k) past the initial
+// per-node prefix counts, matching the "linear-time implementation" the
+// paper relies on for its complexity claims.
 //
 // The inverted index (node → ascending ids of the sets containing it) is
 // its own read-only type, Index, so a caller selecting repeatedly over one
@@ -69,7 +80,7 @@ func GreedyWorkers(n int, col *diffusion.RRCollection, k, workers int) Result {
 
 // GreedyIndex selects under c over col, which must be the θ-prefix
 // (θ = col.Count() ≤ idx.Sets()) of the collection idx indexes: the same
-// collection, or a Prefix view of it. It is the one selection loop of
+// collection, or a Prefix view of it. It is the one selection entry of
 // the package; Greedy, GreedyWorkers and GreedyConstrained build a
 // per-call index and call it. Every node's count starts at its number of
 // postings below θ and every posting walk stops at the first id ≥ θ, so
@@ -80,11 +91,28 @@ func GreedyIndex(idx *Index, col *diffusion.RRCollection, c Constraints) Result 
 	if col.Count() > idx.Sets() {
 		panic(fmt.Sprintf("maxcover: selecting over %d sets with an index of %d", col.Count(), idx.Sets()))
 	}
+	s := newSelection(idx, col, c.Budget > 0)
+	defer s.release()
+	return s.greedy(c)
+}
+
+// greedy runs the selection rule c calls for: the bucket greedy for plain
+// cardinality, the lazy greedy of greedyConstrained otherwise.
+func (s *selection) greedy(c Constraints) Result {
 	if c.constrained() {
-		return greedyConstrained(idx, col, c)
+		return s.greedyConstrained(c)
 	}
-	n := idx.N()
-	k := clampK(c.K, n)
+	return s.bucketGreedy(c.K)
+}
+
+// bucketGreedy picks k nodes by exact marginal coverage, ties broken by
+// bucket order. Nodes sit in buckets by count; a count only falls, so a
+// node popped from a bucket above its current count is stale and moves
+// down to its true one. The counts come from gain, which recounts a node
+// only when it is popped after a pick.
+func (s *selection) bucketGreedy(k int) Result {
+	n := s.idx.N()
+	k = clampK(k, n)
 	res := Result{
 		Seeds:     make([]uint32, 0, k),
 		Marginals: make([]int64, 0, k),
@@ -92,49 +120,24 @@ func GreedyIndex(idx *Index, col *diffusion.RRCollection, c Constraints) Result 
 	if n == 0 || k == 0 {
 		return res
 	}
-	count := i64Pool.get(n, false)
-	idx.prefixCounts(col.Count(), count)
-	coveredSet := boolPool.get(col.Count())
-	selected := boolPool.get(n)
-	defer func() {
-		i64Pool.put(count)
-		boolPool.put(coveredSet)
-		boolPool.put(selected)
-	}()
-
-	// Buckets by count with lazy repositioning. counts only decrease, so
-	// a node found in a bucket above its true count is moved down.
-	maxCount := int64(0)
-	for _, c := range count {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	buckets := make([][]uint32, maxCount+1)
-	for v := 0; v < n; v++ {
-		c := count[v]
-		buckets[c] = append(buckets[c], uint32(v))
-	}
 	var covered int64
 
-	cur := maxCount
+	cur := s.q.reset(s.count)
 	for len(res.Seeds) < k {
 		// Find the true current maximum.
 		var pick int64 = -1
 		for cur > 0 {
-			b := buckets[cur]
-			if len(b) == 0 {
+			v, ok := s.q.pop(cur)
+			if !ok {
 				cur--
 				continue
 			}
-			v := b[len(b)-1]
-			buckets[cur] = b[:len(b)-1]
-			if selected[v] {
+			if s.selected[v] {
 				continue
 			}
-			if count[v] != cur {
+			if g := s.gain(v); g != cur {
 				// Stale: reposition at its true count.
-				buckets[count[v]] = append(buckets[count[v]], v)
+				s.q.push(g, v)
 				continue
 			}
 			pick = int64(v)
@@ -144,8 +147,8 @@ func GreedyIndex(idx *Index, col *diffusion.RRCollection, c Constraints) Result 
 			// All remaining nodes have zero marginal coverage; fill
 			// with lowest unselected ids.
 			for v := 0; v < n && len(res.Seeds) < k; v++ {
-				if !selected[v] {
-					selected[v] = true
+				if !s.selected[v] {
+					s.selected[v] = true
 					res.Seeds = append(res.Seeds, uint32(v))
 					res.Marginals = append(res.Marginals, 0)
 				}
@@ -153,35 +156,15 @@ func GreedyIndex(idx *Index, col *diffusion.RRCollection, c Constraints) Result 
 			break
 		}
 		v := uint32(pick)
-		selected[v] = true
-		gain := count[v]
+		s.selected[v] = true
+		gain := s.gain(v)
 		res.Seeds = append(res.Seeds, v)
 		res.Marginals = append(res.Marginals, gain)
 		covered += gain
-		coverNode(idx, col, v, count, coveredSet)
-		// count[v] is now 0 by construction (all its sets got covered).
+		s.cover(v)
 	}
 	res.Covered = covered
 	return res
-}
-
-// coverNode marks v's still-uncovered sets among the θ = col.Count()
-// prefix covered and decrements the counts of their members. v's posting
-// list is ascending, so the walk stops at the first id ≥ θ.
-func coverNode(idx *Index, col *diffusion.RRCollection, v uint32, count []int64, coveredSet []bool) {
-	theta := uint32(col.Count())
-	for _, s := range idx.Posting(v) {
-		if s >= theta {
-			break
-		}
-		if coveredSet[s] {
-			continue
-		}
-		coveredSet[s] = true
-		for _, u := range col.Set(int(s)) {
-			count[u]--
-		}
-	}
 }
 
 // clampK clamps a pick count into [0, n].

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/diffusion"
 )
@@ -20,9 +21,10 @@ import (
 // pick downstream) are byte-identical to the serial build. Workers is an
 // execution knob, never part of the answer.
 //
-// The large per-call arrays — coverage counts, cover bitmaps, CountCovered
-// seed marks, and the CSR arrays of an index built for one call only —
-// come from process-wide pools, so a query-serving process stops paying an
+// The large per-call arrays — a selection's counts, cover bitmap and
+// bucket queue (recycled whole, selection.go), CountCovered seed marks,
+// and the CSR arrays of an index built for one call only — come from
+// process-wide pools, so a query-serving process stops paying an
 // O(n + Σ|R|) allocation tax per selection. An Index built to be kept
 // (NewIndex) is allocated directly instead: parking its arrays in a pool
 // would keep a second copy warm beside it. ScratchPoolStats exposes the
@@ -161,7 +163,8 @@ func buildIndex(n int, col *diffusion.RRCollection, workers int, pooled bool) *I
 	var x Index
 	x.sets = col.Count()
 	if pooled {
-		x.off = i64Pool.get(n+1, true)
+		x.off = i64Pool.get(n + 1)
+		clear(x.off)
 		x.ids = u32Pool.get(len(col.Flat))
 	} else {
 		x.off = make([]int64, n+1)
@@ -178,7 +181,7 @@ func buildIndex(n int, col *diffusion.RRCollection, workers int, pooled bool) *I
 		for v := 0; v < n; v++ {
 			off[v+1] += off[v]
 		}
-		fill := i64Pool.get(n, false)
+		fill := i64Pool.get(n)
 		copy(fill, off[:n])
 		for s := 0; s < x.sets; s++ {
 			for _, v := range col.Set(s) {
@@ -193,7 +196,8 @@ func buildIndex(n int, col *diffusion.RRCollection, workers int, pooled bool) *I
 	bounds := setShardBounds(col, workers)
 	shard := make([][]int64, workers)
 	for w := range shard {
-		shard[w] = i64Pool.get(n, true)
+		shard[w] = i64Pool.get(n)
+		clear(shard[w])
 	}
 	// Pass 1: each shard counts occurrences over its contiguous flat span
 	// into a private vector.
@@ -320,128 +324,55 @@ func CountCoveredWorkers(n int, col *diffusion.RRCollection, seeds []uint32, wor
 	return covered
 }
 
-// Scratch pools. Slices are stored by pointer (SA6002); every get checks
-// capacity and falls back to a fresh allocation, so pools never constrain
-// problem size — they only recycle.
-
-type i64SlicePool struct {
+// slicePool recycles scratch slices of one element type. Slices are
+// stored by pointer (SA6002); get checks capacity and falls back to a
+// fresh allocation, so pools never constrain problem size — they only
+// recycle. get returns the contents the previous user left: callers clear
+// what they read before writing.
+type slicePool[T any] struct {
 	p            sync.Pool
 	hits, misses atomic.Int64
 }
 
-func (sp *i64SlicePool) get(n int, zero bool) []int64 {
+func (sp *slicePool[T]) get(n int) []T {
 	if v := sp.p.Get(); v != nil {
-		s := *(v.(*[]int64))
-		scratchPoolBytes.Add(-int64(cap(s)) * 8)
-		if cap(s) >= n {
-			s = s[:n]
-			if zero {
-				for i := range s {
-					s[i] = 0
-				}
-			}
-			sp.hits.Add(1)
-			return s
-		}
-	}
-	sp.misses.Add(1)
-	return make([]int64, n)
-}
-
-func (sp *i64SlicePool) put(s []int64) {
-	scratchPoolBytes.Add(int64(cap(s)) * 8)
-	sp.p.Put(&s)
-}
-
-type u32SlicePool struct {
-	p            sync.Pool
-	hits, misses atomic.Int64
-}
-
-func (sp *u32SlicePool) get(n int) []uint32 {
-	if v := sp.p.Get(); v != nil {
-		s := *(v.(*[]uint32))
-		scratchPoolBytes.Add(-int64(cap(s)) * 4)
+		s := *(v.(*[]T))
+		scratchPoolBytes.Add(-sliceBytes(s))
 		if cap(s) >= n {
 			sp.hits.Add(1)
 			return s[:n]
 		}
 	}
 	sp.misses.Add(1)
-	return make([]uint32, n)
+	return make([]T, n)
 }
 
-func (sp *u32SlicePool) put(s []uint32) {
-	scratchPoolBytes.Add(int64(cap(s)) * 4)
+func (sp *slicePool[T]) put(s []T) {
+	scratchPoolBytes.Add(sliceBytes(s))
 	sp.p.Put(&s)
 }
 
-// boolSlicePool hands out zeroed bool slices (get clears: same cost as a
-// fresh make, without the allocation and GC churn).
-type boolSlicePool struct {
-	p            sync.Pool
-	hits, misses atomic.Int64
-}
-
-func (sp *boolSlicePool) get(n int) []bool {
-	if v := sp.p.Get(); v != nil {
-		s := *(v.(*[]bool))
-		scratchPoolBytes.Add(-int64(cap(s)))
-		if cap(s) >= n {
-			s = s[:n]
-			for i := range s {
-				s[i] = false
-			}
-			sp.hits.Add(1)
-			return s
-		}
-	}
-	sp.misses.Add(1)
-	return make([]bool, n)
-}
-
-func (sp *boolSlicePool) put(s []bool) {
-	scratchPoolBytes.Add(int64(cap(s)))
-	sp.p.Put(&s)
-}
-
-// seedMarkPool pools the CountCovered membership scratch under a
-// stronger invariant: every slice in the pool is all-false over its full
-// capacity, maintained by callers resetting exactly the entries they set.
-// That is what lets get skip the O(n) clear entirely.
-type seedMarkPool struct {
-	p            sync.Pool
-	hits, misses atomic.Int64
-}
-
-func (sp *seedMarkPool) get(n int) []bool {
-	if v := sp.p.Get(); v != nil {
-		s := *(v.(*[]bool))
-		scratchPoolBytes.Add(-int64(cap(s)))
-		if cap(s) >= n {
-			sp.hits.Add(1)
-			return s[:n]
-		}
-	}
-	sp.misses.Add(1)
-	return make([]bool, n)
-}
-
-func (sp *seedMarkPool) put(s []bool) {
-	scratchPoolBytes.Add(int64(cap(s)))
-	sp.p.Put(&s)
+// sliceBytes returns the heap bytes s holds, by capacity.
+func sliceBytes[T any](s []T) int64 {
+	var zero T
+	return int64(cap(s)) * int64(unsafe.Sizeof(zero))
 }
 
 var (
-	i64Pool   i64SlicePool
-	u32Pool   u32SlicePool
-	boolPool  boolSlicePool
-	seedMarks seedMarkPool
+	i64Pool slicePool[int64]
+	u32Pool slicePool[uint32]
+	// seedMarks pools node-membership marks (CountCovered's seeds, the
+	// constrained greedy's exclusions) under a stronger invariant: every
+	// slice in the pool is all-false over its full capacity, maintained by
+	// callers resetting exactly the entries they set. That is what lets a
+	// get skip the O(n) clear.
+	seedMarks slicePool[bool]
 
-	// scratchPoolBytes approximates bytes parked across all four pools:
-	// added on put, subtracted on every pool get (reused or dropped as
-	// too small). sync.Pool may free entries under GC pressure without
-	// notice, so this upper-bounds retention; clamped at zero on read.
+	// scratchPoolBytes approximates bytes parked across the pools and the
+	// pooled selections: added on put, subtracted on every get (reused or
+	// dropped as too small). sync.Pool may free entries under GC pressure
+	// without notice, so this upper-bounds retention; clamped at zero on
+	// read.
 	scratchPoolBytes atomic.Int64
 )
 
@@ -449,8 +380,8 @@ var (
 // counters across all pools: hits (gets served from a pool) and misses
 // (fresh allocations). Exposed for operational visibility (/v1/stats).
 func ScratchPoolStats() (hits, misses int64) {
-	hits = i64Pool.hits.Load() + u32Pool.hits.Load() + boolPool.hits.Load() + seedMarks.hits.Load()
-	misses = i64Pool.misses.Load() + u32Pool.misses.Load() + boolPool.misses.Load() + seedMarks.misses.Load()
+	hits = i64Pool.hits.Load() + u32Pool.hits.Load() + seedMarks.hits.Load() + selectionHits.Load()
+	misses = i64Pool.misses.Load() + u32Pool.misses.Load() + seedMarks.misses.Load() + selectionMisses.Load()
 	return hits, misses
 }
 
