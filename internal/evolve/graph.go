@@ -1,7 +1,8 @@
 // Package evolve is the evolving-graph subsystem: a mutable, versioned
 // layer over the static CSR graphs of internal/graph, plus an incremental
 // maintainer that repairs sampled RR collections after graph mutations
-// instead of throwing them away (see repair.go).
+// instead of throwing them away, patching each collection's cover index
+// along with it (see repair.go).
 //
 // The static pipeline assumes a frozen graph; real social networks gain
 // and lose edges continuously. evolve.Graph accepts batched mutations
@@ -289,6 +290,14 @@ func (e *Graph) SnapshotMemoryBytes() int64 {
 func (e *Graph) validateLocked(b Batch) error {
 	if b.AddNodes < 0 {
 		return fmt.Errorf("evolve: negative AddNodes %d", b.AddNodes)
+	}
+	// Node ids are uint32, so the count may reach 1<<32 and no further;
+	// comparing against the headroom also keeps e.n + AddNodes from
+	// overflowing int. This bounds the id space, not memory: a count
+	// just below 1<<32 is accepted, and its next snapshot allocates
+	// offsets for every node.
+	if int64(b.AddNodes) > 1<<32-int64(e.n) {
+		return fmt.Errorf("%w: adding %d nodes to %d leaves the uint32 id space", graph.ErrNodeRange, b.AddNodes, e.n)
 	}
 	newN := e.n + b.AddNodes
 	pendingDel := make(map[EdgeKey]int)

@@ -2,6 +2,7 @@ package evolve
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/gen"
@@ -73,6 +74,8 @@ func TestApplyAtomic(t *testing.T) {
 		{Inserts: []graph.Edge{{From: 0, To: 2, Weight: 0.5}, {From: 0, To: 9, Weight: 0.5}}},
 		{Inserts: []graph.Edge{{From: 0, To: 2, Weight: 1.5}}},
 		{AddNodes: -1},
+		{AddNodes: math.MaxInt64},
+		{AddNodes: 1 << 32},
 		{Deletes: []EdgeKey{{From: 2, To: 0}}},
 	}
 	for i, b := range cases {

@@ -38,9 +38,12 @@ import (
 // and the post-draw stream state agree. The sets holding a touched head
 // are read off the collection's cover index (maxcover.Index): they are
 // the union of the heads' posting lists, so finding them reads no
-// member ids. DESIGN.md §8.3 gives the full argument, including why per-trace
-// deletion tracking cannot be tightened further without abandoning
-// bit-identity.
+// member ids. Repair maintains the (collection, index) pair: it patches
+// the index with the re-derived sets (maxcover.(*Index).Patch) before it
+// splices the new arena, so a caller keeping the index never re-indexes
+// the sets that did not change. DESIGN.md §8.3 gives the full argument,
+// including why per-trace deletion tracking cannot be tightened further
+// without abandoning bit-identity.
 
 // ErrUnsupportedModel reports a diffusion model Repair cannot maintain
 // incrementally. General triggering models sample through a user-supplied
@@ -65,11 +68,13 @@ type RepairStats struct {
 // would sample cold on g (the post-mutation snapshot) with the same seed
 // and count, re-deriving only the sets delta could have affected. col is
 // never mutated. The model must be IC or LT; g.N() must equal
-// delta.NAfter. It indexes col for this call; a caller that keeps a
-// cover index of col passes it to RepairConfig instead.
+// delta.NAfter. It indexes col for this call and discards the repaired
+// index, so its time includes an index build and a patch that nothing
+// reads; a caller that keeps a cover index of col passes it to
+// RepairConfig instead, which returns the index of the result.
 func Repair(ctx context.Context, g *graph.Graph, model diffusion.Model, col *diffusion.RRCollection, delta Delta, seed uint64, workers int) (*diffusion.RRCollection, RepairStats, error) {
-	idx := maxcover.NewIndex(g.N(), col, workers)
-	return RepairConfig(ctx, g, model, diffusion.SampleConfig{}, col, idx, delta, seed, workers)
+	out, _, stats, err := RepairConfig(ctx, g, model, diffusion.SampleConfig{}, col, maxcover.NewIndex(g.N(), col, workers), delta, seed, workers)
+	return out, stats, err
 }
 
 // RepairConfig is Repair for collections sampled under a constrained
@@ -84,20 +89,29 @@ func Repair(ctx context.Context, g *graph.Graph, model diffusion.Model, col *dif
 //
 // idx is the cover index of exactly col (maxcover.NewIndex over col, on
 // any node count up to g.N()); its posting lists locate the sets holding
-// a touched head. It is only read, and it does not index the result.
-func RepairConfig(ctx context.Context, g *graph.Graph, model diffusion.Model, cfg diffusion.SampleConfig, col *diffusion.RRCollection, idx *maxcover.Index, delta Delta, seed uint64, workers int) (*diffusion.RRCollection, RepairStats, error) {
+// a touched head. RepairConfig repairs the pair: beside the repaired
+// collection it returns that collection's index over g.N() nodes, equal
+// byte for byte to maxcover.NewIndex of it, patched from idx (one
+// rr.index span inside rr.repair). idx itself is only read. The patch
+// runs before the new arena is spliced, and idx is dropped in between,
+// so a caller that holds no other reference to idx keeps at most one
+// index and the two arenas alive at once (DESIGN.md §8.3). Every error
+// is raised before the patch, and comes with idx itself in place of
+// the new index: it still indexes col, so a caller that handed over its
+// only reference gets it back.
+func RepairConfig(ctx context.Context, g *graph.Graph, model diffusion.Model, cfg diffusion.SampleConfig, col *diffusion.RRCollection, idx *maxcover.Index, delta Delta, seed uint64, workers int) (*diffusion.RRCollection, *maxcover.Index, RepairStats, error) {
 	var stats RepairStats
 	switch model.Kind() {
 	case diffusion.IC, diffusion.LT:
 	default:
-		return nil, stats, fmt.Errorf("%w: %v", ErrUnsupportedModel, model)
+		return nil, idx, stats, fmt.Errorf("%w: %v", ErrUnsupportedModel, model)
 	}
 	count := col.Count()
 	if g.N() != delta.NAfter {
-		return nil, stats, fmt.Errorf("evolve: snapshot has %d nodes, delta says %d", g.N(), delta.NAfter)
+		return nil, idx, stats, fmt.Errorf("evolve: snapshot has %d nodes, delta says %d", g.N(), delta.NAfter)
 	}
 	if idx.Sets() != count {
-		return nil, stats, fmt.Errorf("evolve: cover index holds %d sets, collection %d", idx.Sets(), count)
+		return nil, idx, stats, fmt.Errorf("evolve: cover index holds %d sets, collection %d", idx.Sets(), count)
 	}
 	stats.Sets = int64(count)
 	span := obs.StartSpan(ctx, "rr.repair")
@@ -105,9 +119,6 @@ func RepairConfig(ctx context.Context, g *graph.Graph, model diffusion.Model, cf
 		span.Attr("sets", stats.Sets).Attr("repaired", stats.Repaired).
 			Attr("reused", stats.Reused).Attr("root_changed", stats.RootChanged).End()
 	}()
-	if count == 0 {
-		return &diffusion.RRCollection{Off: []int64{0}}, stats, nil
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -157,10 +168,19 @@ func RepairConfig(ctx context.Context, g *graph.Graph, model diffusion.Model, cf
 		wg.Wait()
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return nil, stats, err
+				return nil, idx, stats, err
 			}
 		}
 	}
+
+	// Patch the index with the re-derived sets while col still holds
+	// their old members. Nothing reads idx past the patch, so the old
+	// index is garbage before the new arena is allocated; patching after
+	// the splice would keep both arenas and both indexes alive at once.
+	patchSpan := obs.StartSpan(ctx, "rr.index").Attr("sets", int64(count)).
+		Attr("patched", true).Attr("replaced", int64(len(todo))).Attr("appended", int64(0))
+	newIdx := idx.Patch(g.N(), col, todo, newSets)
+	patchSpan.Attr("bytes", newIdx.MemoryBytes()).End()
 
 	// Phase 3: splice the runs of kept sets and the re-derived sets into
 	// a fresh arena: one copy per kept run, whose offsets shift by the
@@ -188,7 +208,7 @@ func RepairConfig(ctx context.Context, g *graph.Graph, model diffusion.Model, cf
 		next = int(i) + 1
 	}
 	keep(next, count)
-	return out, stats, nil
+	return out, newIdx, stats, nil
 }
 
 // AffectedSets returns, ascending, the indices of the sets an exact

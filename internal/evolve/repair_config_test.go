@@ -2,6 +2,7 @@ package evolve
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/diffusion"
@@ -90,14 +91,18 @@ func TestRepairConfigMatchesColdSample(t *testing.T) {
 				prev = eg.Version()
 				snap, _ = eg.Snapshot()
 
-				newCol, stats, err := RepairConfig(context.Background(), snap, tc.model, cfg, col, maxcover.NewIndex(snap.N(), col, 3), delta, repairSeed, 3)
+				newCol, newIdx, stats, err := RepairConfig(context.Background(), snap, tc.model, cfg, col, maxcover.NewIndex(snap.N(), col, 3), delta, repairSeed, 3)
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 				if cfg.Roots != nil && delta.NBefore != delta.NAfter && stats.RootChanged != 0 {
 					t.Fatalf("step %d: weighted roots flagged %d root-unstable sets", step, stats.RootChanged)
 				}
-				compareCollections(t, tc.name, newCol, sampleColdConfig(t, snap, tc.model, cfg, theta))
+				cold := sampleColdConfig(t, snap, tc.model, cfg, theta)
+				compareCollections(t, tc.name, newCol, cold)
+				if !reflect.DeepEqual(newIdx, maxcover.NewIndex(snap.N(), cold, 3)) {
+					t.Fatalf("step %d: repaired index differs from the index of a cold sample", step)
+				}
 				if stats.Repaired+stats.Reused != stats.Sets || stats.Sets != theta {
 					t.Fatalf("step %d: inconsistent stats %+v", step, stats)
 				}
@@ -128,7 +133,7 @@ func TestRepairConfigDefaultMatchesRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RepairConfig(context.Background(), snap, diffusion.NewIC(), diffusion.SampleConfig{}, col, maxcover.NewIndex(snap.N(), col, 2), delta, repairSeed, 2)
+	b, _, _, err := RepairConfig(context.Background(), snap, diffusion.NewIC(), diffusion.SampleConfig{}, col, maxcover.NewIndex(snap.N(), col, 2), delta, repairSeed, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/diffusion"
 	"repro/internal/evolve"
 	"repro/internal/graph"
+	"repro/internal/maxcover"
 	"repro/internal/obs"
 )
 
@@ -207,6 +210,8 @@ func TestUpdateValidation(t *testing.T) {
 		{"empty batch", UpdateRequest{Dataset: "known"}, http.StatusBadRequest},
 		{"delete missing edge", UpdateRequest{Dataset: "known", Delete: []UpdateEdge{{From: 0, To: 2}}}, http.StatusBadRequest},
 		{"insert out of range", UpdateRequest{Dataset: "known", Insert: []UpdateEdge{{From: 0, To: 999}}}, http.StatusBadRequest},
+		{"add_nodes overflowing int", UpdateRequest{Dataset: "known", AddNodes: math.MaxInt64}, http.StatusBadRequest},
+		{"add_nodes past the uint32 id space", UpdateRequest{Dataset: "known", AddNodes: 1 << 32}, http.StatusBadRequest},
 		{"mixed valid+invalid", UpdateRequest{
 			Dataset: "known",
 			Insert:  []UpdateEdge{{From: 0, To: 5}},
@@ -427,5 +432,123 @@ func TestRRIndexBuiltOncePerCollectionState(t *testing.T) {
 		if got.RRSetsRepaired == 0 || built != 1 {
 			t.Fatalf("update %d: repaired %d sets and built %d indexes, want a repair and 1 build", i, got.RRSetsRepaired, built)
 		}
+	}
+}
+
+// TestRRIndexPatchedMatchesRebuild: the rr-store derives an entry's cover
+// index from the previous one — patched by the repair after an update,
+// and patched again by an extension — yet it always equals the index a
+// rebuild of the entry's collection would produce, and every answer
+// equals a cold server's. Checked after each of evolveTestUpdates (node
+// growth included), after a query that repairs and then extends, and
+// after a spill promotion whose repair is cancelled, followed by one that
+// completes: the cancelled repair leaves the entry its index and the
+// ledger exact.
+func TestRRIndexPatchedMatchesRebuild(t *testing.T) {
+	cfg := evolveTestConfig(t)
+	cfg.RRCollections = 1
+	cfg.SpillDir = t.TempDir()
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := httptest.NewServer(srv)
+	t.Cleanup(warm.Close)
+	const key = "known|ic|eps=0.3"
+	var applied []UpdateRequest
+	update := func(u UpdateRequest) {
+		t.Helper()
+		applyUpdates(t, warm.URL, []UpdateRequest{u})
+		applied = append(applied, u)
+	}
+	query := func(label string, k int, seed uint64) MaximizeResponse {
+		t.Helper()
+		req := MaximizeRequest{Dataset: "known", K: k, Epsilon: 0.3, Seed: &seed}
+		var got, want MaximizeResponse
+		if status, body := postJSON(t, warm.URL+"/v1/maximize", req, &got); status != http.StatusOK {
+			t.Fatalf("%s: warm maximize: %d %s", label, status, body)
+		}
+		_, cold := newEvolveTestServer(t)
+		applyUpdates(t, cold.URL, applied)
+		if status, body := postJSON(t, cold.URL+"/v1/maximize", req, &want); status != http.StatusOK {
+			t.Fatalf("%s: cold maximize: %d %s", label, status, body)
+		}
+		if !reflect.DeepEqual(maximizeEssence(got), maximizeEssence(want)) {
+			t.Fatalf("%s: warm %+v, cold %+v", label, got, want)
+		}
+		evg, err := srv.registry.get("known", diffusion.NewIC().Kind())
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _ := evg.Snapshot()
+		srv.rr.mu.Lock()
+		e := srv.rr.entries[key]
+		srv.rr.mu.Unlock()
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if e.idx == nil || !reflect.DeepEqual(e.idx, maxcover.NewIndex(g.N(), e.col, 1)) {
+			t.Fatalf("%s: the entry's index differs from a rebuild of its %d sets", label, e.col.Count())
+		}
+		return got
+	}
+
+	query("warm-up", 2, 1)
+	for i, u := range evolveTestUpdates() {
+		update(u)
+		if got := query(fmt.Sprintf("update %d", i), 2, uint64(10+i)); got.RRSetsRepaired == 0 {
+			t.Fatalf("update %d: the query repaired nothing: %+v", i, got)
+		}
+	}
+	update(UpdateRequest{Dataset: "known", Insert: []UpdateEdge{{From: 10, To: 20}, {From: 33, To: 5}}})
+	if got := query("repair and extend", 1, 20); got.RRSetsRepaired == 0 || got.RRSetsSampled == 0 {
+		t.Fatalf("the query did not both repair and extend: %+v", got)
+	}
+
+	// A filler entry evicts the collection into the spill tier. After one
+	// more update, a query whose context is already cancelled promotes
+	// it without an index, builds one, and stops in the repair: the
+	// entry keeps that index of its old version, charged to the ledger,
+	// so the next query repairs the pair by one patch (plus one more if
+	// it extends) rather than indexing every set again.
+	srv.rr.entry(t.Context(), "known|ic|eps=0.9")
+	update(UpdateRequest{Dataset: "known", Delete: []UpdateEdge{{From: 10, To: 20}}, Insert: []UpdateEdge{{From: 7, To: 33}}})
+	evg, err := srv.registry.get("known", diffusion.NewIC().Kind())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, version := evg.Snapshot()
+	cancelled, cancel := context.WithCancel(t.Context())
+	cancel()
+	src := srv.rr.source(key, evg, version, diffusion.SampleConfig{})
+	if _, _, err := src.NodeSelectionSets(cancelled, g, diffusion.NewIC(), 1, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled repair: err %v, want context.Canceled", err)
+	}
+	srv.rr.mu.Lock()
+	e := srv.rr.entries[key]
+	var recomputed int64
+	for _, x := range srv.rr.entries {
+		recomputed += x.col.MemoryBytes() + x.idx.MemoryBytes()
+	}
+	reported := srv.rr.memoryTotal()
+	srv.rr.mu.Unlock()
+	e.mu.Lock()
+	if e.version == version || e.idx == nil || !reflect.DeepEqual(e.idx, maxcover.NewIndex(e.idx.N(), e.col, 1)) {
+		t.Fatalf("after a cancelled repair the entry (version %d of %d) lost the index of its %d sets", e.version, version, e.col.Count())
+	}
+	e.mu.Unlock()
+	if reported != recomputed {
+		t.Fatalf("after a cancelled repair the ledger charges %d bytes, the entries hold %d", reported, recomputed)
+	}
+	before := srv.rr.indexBuilds.Int()
+	got := query("repair after a cancelled repair", 2, 30)
+	want := int64(1)
+	if got.RRSetsSampled > 0 {
+		want++
+	}
+	if built := srv.rr.indexBuilds.Int() - before; got.RRSetsRepaired == 0 || built != want {
+		t.Fatalf("the promoted collection repaired %d sets over %d index states, want a repair and %d: %+v", got.RRSetsRepaired, built, want, got)
+	}
+	if st := srv.rr.stats(); st.Demotions != 1 || st.Promotions != 1 {
+		t.Fatalf("the collection did not go through the spill tier: %+v", st)
 	}
 }

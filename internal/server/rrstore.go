@@ -70,13 +70,17 @@ import (
 //     the ordinary repair path (or cold reset), exactly like a warm one.
 //
 // Each entry also owns the read-only cover index of its collection
-// (maxcover.Index), built lazily once per (version, set count) and shared
-// with every query the way prefix views of the collection are: a warm
-// query selects over (index, θ) instead of indexing θ sets itself, and a
-// repair finds its affected sets from the index's posting lists. The
-// entry replaces the index, never mutates it, whenever the collection
-// changes (repair, cold reset, extension); promotion starts without one,
-// demotion drops it, and the ledger charges it beside the arena.
+// (maxcover.Index), one per (version, set count), shared with every query
+// the way prefix views of the collection are: a warm query selects over
+// (index, θ) instead of indexing θ sets itself, and a repair finds its
+// affected sets from the index's posting lists. The entry replaces the
+// index, never mutates it, whenever the collection changes, and derives
+// the new one from the old: a repair returns the index it patched with
+// the re-derived sets (evolve.RepairConfig), and an extension patches in
+// the sets it appended (maxcover.(*Index).Patch). Only an entry without
+// an index indexes every set: on its first query, and on the first after
+// a cold reset or a promotion. Demotion drops the index, and the ledger
+// charges it beside the arena.
 //
 // Spilled records have their own LRU order bounded by the disk budget;
 // the spill tier is a volatile cache (this index dies with the process),
@@ -153,9 +157,12 @@ type spillRecord struct {
 
 // rrEntry is one cached collection. version is the graph version the
 // collection's sets were (re)derived on; versioned records whether
-// version has been initialized by a first query. idx, when non-nil, is
-// the cover index of col at version; it is stale when idx.Sets() !=
-// col.Count() (an extension outgrew it) and is rebuilt, not patched.
+// version has been initialized by a first query. idx is nil or the cover
+// index of a prefix of col at version: a repair leaves the index it
+// patched, or, cut short, the old index of the unchanged collection;
+// an extension patches in the sets it appended, or, cut short by
+// a deadline, leaves the shorter index for the next query to patch; a
+// cold reset, a demotion and a promotion leave nil.
 type rrEntry struct {
 	mu        sync.Mutex
 	col       *diffusion.RRCollection
@@ -237,7 +244,7 @@ func newRRStore(cfg rrStoreConfig, reg *obs.Registry, ledger *obs.Ledger) *rrSto
 		repairTotalMs:     reg.Counter("timserver_rr_repair_ms_total", "Total milliseconds spent in incremental repairs."),
 		repairMaxMs:       reg.Gauge("timserver_rr_repair_max_ms", "Slowest single incremental repair in milliseconds."),
 		staleBypasses:     reg.Counter("timserver_rr_stale_bypasses_total", "Queries served from a private cold sample after racing behind the shared collection."),
-		indexBuilds:       reg.Counter("timserver_rr_index_builds_total", "Cover indexes built for shared RR collections (once per collection state)."),
+		indexBuilds:       reg.Counter("timserver_rr_index_builds_total", "Cover index states of shared RR collections, built from every set or patched through a repair or an extension (one per collection state)."),
 		demotions:         reg.Counter("timserver_rr_demotions_total", "Evicted RR collections demoted to the spill tier."),
 		promotions:        reg.Counter("timserver_rr_promotions_total", "Spilled RR collections promoted back into memory."),
 		spillDrops:        reg.Counter("timserver_rr_spill_drops_total", "Spilled collections dropped (disk budget, staleness mismatch, or corrupt file)."),
@@ -543,7 +550,7 @@ func rrKeyProfile(key string) uint64 {
 // faultRREvictMidExtend is consulted after a query's extension flushes
 // but before its ledger accounting runs. Tests use it as a
 // synchronization hook to force an eviction into exactly that window —
-// the race the `!e.evicted` guard below exists for.
+// the race the `!e.evicted` guard in charge exists for.
 const faultRREvictMidExtend = "server/rr-evict-mid-extend"
 
 // fnv64 is the FNV-1a hash, used to derive per-key sampling seeds.
@@ -635,29 +642,44 @@ func (r *rrSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model 
 		if ok && e.col.Count() > 0 {
 			// The pre-repair index locates the affected sets. Its node
 			// count may predate the delta's growth; a head beyond it is
-			// in no set, which the repair accounts for.
+			// in no set, which the repair accounts for. The entry hands
+			// the repair its only reference, so once the repair has
+			// patched it nothing keeps the old index alive while the
+			// new arena is allocated (evolve.RepairConfig); a failed
+			// repair hands it back.
 			r.ensureIndex(ctx, e, g.N(), workers)
-			newCol, st, err := evolve.RepairConfig(ctx, g, model, r.cfg, e.col, e.idx, delta, e.seed, workers)
+			idx := e.idx
+			e.idx = nil
+			newCol, newIdx, st, err := evolve.RepairConfig(ctx, g, model, r.cfg, e.col, idx, delta, e.seed, workers)
 			switch {
 			case err == nil:
-				e.col = newCol
+				e.col, e.idx = newCol, newIdx
+				r.store.indexBuilds.Inc()
 				repairStats = st
 				didRepair = true
 			case errors.Is(err, evolve.ErrUnsupportedModel):
 				coldReset = true
 			default:
-				return nil, nil, err // context cancellation and the like
+				// Context cancellation and the like, which stop the
+				// repair before its patch: the collection is unchanged
+				// and the index handed back still describes it. Keep
+				// it, charged, so the next query patches it instead of
+				// indexing every set again.
+				e.idx = newIdx
+				r.store.charge(e, e.col.MemoryBytes()+e.idx.MemoryBytes())
+				return nil, nil, err
 			}
 		} else if !ok {
 			// The delta log no longer reaches back to the entry's
 			// version: repair-instead-of-drop is off the table.
 			coldReset = e.col.Count() > 0
 		}
+		if !didRepair {
+			e.idx = nil
+		}
 		if coldReset {
 			e.col = &diffusion.RRCollection{Off: []int64{0}}
 		}
-		// Whatever happened, the index describes the old version.
-		e.idx = nil
 		e.version = r.snapVersion
 		repairMs = float64(time.Since(start).Microseconds()) / 1000
 		r.repaired = repairStats.Repaired
@@ -705,12 +727,7 @@ func (r *rrSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model 
 		span.Attr("cold_reset", true)
 		r.store.repairColdResets.Inc()
 	}
-	r.store.mu.Lock()
-	if !e.evicted {
-		e.mem.Add(memory - e.memory)
-	}
-	e.memory = memory // under store.mu: eviction reads it there
-	r.store.mu.Unlock()
+	r.store.charge(e, memory)
 
 	if extErr != nil {
 		return nil, nil, extErr
@@ -718,16 +735,34 @@ func (r *rrSource) NodeSelectionSets(ctx context.Context, g *graph.Graph, model 
 	return e.col.Prefix(int(theta)), e.idx, nil
 }
 
-// ensureIndex makes e.idx the cover index of exactly e.col, building a
-// fresh one when there is none or the collection outgrew it. The index
-// is allocated for keeping (maxcover.NewIndex), never copied out of the
-// selection scratch pools. Caller holds e.mu.
+// charge sets the ledger's charge for e to memory, the bytes of its
+// collection and index. An evicted entry's bytes already left the
+// ledger, so only e.memory moves. Caller holds e.mu.
+func (s *rrStore) charge(e *rrEntry, memory int64) {
+	s.mu.Lock()
+	if !e.evicted {
+		e.mem.Add(memory - e.memory)
+	}
+	e.memory = memory // under store.mu: eviction reads it there
+	s.mu.Unlock()
+}
+
+// ensureIndex makes e.idx the cover index of exactly e.col: it patches
+// the sets an extension appended into the entry's index, and builds one
+// only when the entry has none (its first query, a cold reset, a
+// promotion). Either way the index is allocated for keeping, never
+// copied out of the selection scratch pools. Caller holds e.mu.
 func (r *rrSource) ensureIndex(ctx context.Context, e *rrEntry, n, workers int) {
 	if e.idx != nil && e.idx.Sets() == e.col.Count() {
 		return
 	}
 	span := obs.StartSpan(ctx, "rr.index").Attr("sets", int64(e.col.Count()))
-	e.idx = maxcover.NewIndex(n, e.col, workers)
+	if e.idx == nil {
+		e.idx = maxcover.NewIndex(n, e.col, workers)
+	} else {
+		span.Attr("patched", true).Attr("replaced", int64(0)).Attr("appended", int64(e.col.Count()-e.idx.Sets()))
+		e.idx = e.idx.Patch(n, e.col, nil, nil)
+	}
 	r.store.indexBuilds.Inc()
 	span.Attr("bytes", e.idx.MemoryBytes()).End()
 }
