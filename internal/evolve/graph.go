@@ -291,11 +291,17 @@ func (e *Graph) validateLocked(b Batch) error {
 	if b.AddNodes < 0 {
 		return fmt.Errorf("evolve: negative AddNodes %d", b.AddNodes)
 	}
+	// One batch may at most double the node count (or add one node to an
+	// empty graph): the next snapshot allocates per node, so a single
+	// update must not be able to ask for memory out of proportion to the
+	// graph it mutates.
+	if b.AddNodes > max(e.n, 1) {
+		return fmt.Errorf("%w: adding %d nodes to %d more than doubles the graph", graph.ErrNodeRange, b.AddNodes, e.n)
+	}
 	// Node ids are uint32, so the count may reach 1<<32 and no further;
-	// comparing against the headroom also keeps e.n + AddNodes from
-	// overflowing int. This bounds the id space, not memory: a count
-	// just below 1<<32 is accepted, and its next snapshot allocates
-	// offsets for every node.
+	// doubling alone stops short of that only while n <= 1<<31.
+	// Comparing against the headroom also keeps e.n + AddNodes from
+	// overflowing int.
 	if int64(b.AddNodes) > 1<<32-int64(e.n) {
 		return fmt.Errorf("%w: adding %d nodes to %d leaves the uint32 id space", graph.ErrNodeRange, b.AddNodes, e.n)
 	}

@@ -76,6 +76,8 @@ func TestApplyAtomic(t *testing.T) {
 		{AddNodes: -1},
 		{AddNodes: math.MaxInt64},
 		{AddNodes: 1 << 32},
+		{AddNodes: 4},         // more than doubles n = 3
+		{AddNodes: 1<<32 - 3}, // fits the uint32 id space, not the doubling bound
 		{Deletes: []EdgeKey{{From: 2, To: 0}}},
 	}
 	for i, b := range cases {
@@ -88,6 +90,12 @@ func TestApplyAtomic(t *testing.T) {
 	}
 	if _, err := eg.Apply(Batch{Deletes: []EdgeKey{{From: 2, To: 0}}}); !errors.Is(err, ErrUnknownEdge) {
 		t.Fatalf("unknown delete: %v", err)
+	}
+	if _, err := eg.Apply(Batch{AddNodes: 4}); !errors.Is(err, graph.ErrNodeRange) {
+		t.Fatalf("add_nodes past doubling: %v", err)
+	}
+	if _, err := eg.Apply(Batch{AddNodes: 3}); err != nil || eg.N() != 6 {
+		t.Fatalf("doubling batch: n=%d err=%v", eg.N(), err)
 	}
 }
 

@@ -18,12 +18,12 @@ import (
 //
 // A collection built by diffusion.ExtendCollection draws set i from the
 // keyed stream rng.New(seed).Split(i) — the stream depends on (seed, i)
-// only, never on how many sets were sampled or by which worker. Repair
-// exploits that: after a graph mutation, re-deriving set i from its own
-// stream on the new snapshot yields exactly the set a cold sampler would
-// have produced, so a collection where only the affected sets are
-// re-derived is bit-identical — members and order — to one sampled from
-// scratch on the mutated graph.
+// only, never on how many sets were sampled or by which worker.
+// RepairConfig exploits that: after a graph mutation, re-deriving set i
+// from its own stream on the new snapshot yields exactly the set a cold
+// sampler would have produced, so a collection where only the affected
+// sets are re-derived is bit-identical — members and order — to one
+// sampled from scratch on the mutated graph.
 //
 // Which sets are affected? Reverse-reachable sampling only ever examines
 // the in-edge lists of nodes already in the set. A mutation on edge u→v
@@ -33,25 +33,25 @@ import (
 // re-derived — even when the mutated edge's coin "would not have
 // mattered" — because the sampler consumes its stream sequentially and
 // any change to v's in-list shifts every subsequent draw. Node growth
-// additionally perturbs the root draw r.Intn(n): Repair replays that
-// first draw under both node counts and keeps a set only when the root
-// and the post-draw stream state agree. The sets holding a touched head
-// are read off the collection's cover index (maxcover.Index): they are
-// the union of the heads' posting lists, so finding them reads no
-// member ids. Repair maintains the (collection, index) pair: it patches
-// the index with the re-derived sets (maxcover.(*Index).Patch) before it
-// splices the new arena, so a caller keeping the index never re-indexes
-// the sets that did not change. DESIGN.md §8.3 gives the full argument,
-// including why per-trace deletion tracking cannot be tightened further
-// without abandoning bit-identity.
+// additionally perturbs the root draw r.Intn(n): RepairConfig replays
+// that first draw under both node counts and keeps a set only when the
+// root and the post-draw stream state agree. The sets holding a touched
+// head are read off the collection's cover index (maxcover.Index): they
+// are the union of the heads' posting lists, so finding them reads no
+// member ids. RepairConfig maintains the (collection, index) pair: it
+// patches the index with the re-derived sets (maxcover.(*Index).Patch)
+// before it splices the new arena, so a caller keeping the index never
+// re-indexes the sets that did not change. DESIGN.md §8.3 gives the full
+// argument, including why per-trace deletion tracking cannot be
+// tightened further without abandoning bit-identity.
 
-// ErrUnsupportedModel reports a diffusion model Repair cannot maintain
-// incrementally. General triggering models sample through a user-supplied
-// TriggerSampler whose stream consumption Repair cannot reason about, so
-// callers must fall back to a cold resample.
+// ErrUnsupportedModel reports a diffusion model RepairConfig cannot
+// maintain incrementally. General triggering models sample through a
+// user-supplied TriggerSampler whose stream consumption it cannot reason
+// about, so callers must fall back to a cold resample.
 var ErrUnsupportedModel = errors.New("evolve: model not supported by incremental repair")
 
-// RepairStats reports what one Repair call did.
+// RepairStats reports what one RepairConfig call did.
 type RepairStats struct {
 	// Sets is the collection size.
 	Sets int64
@@ -64,28 +64,20 @@ type RepairStats struct {
 	RootChanged int64
 }
 
-// Repair returns a collection bit-identical to what ExtendCollection
-// would sample cold on g (the post-mutation snapshot) with the same seed
-// and count, re-deriving only the sets delta could have affected. col is
-// never mutated. The model must be IC or LT; g.N() must equal
-// delta.NAfter. It indexes col for this call and discards the repaired
-// index, so its time includes an index build and a patch that nothing
-// reads; a caller that keeps a cover index of col passes it to
-// RepairConfig instead, which returns the index of the result.
-func Repair(ctx context.Context, g *graph.Graph, model diffusion.Model, col *diffusion.RRCollection, delta Delta, seed uint64, workers int) (*diffusion.RRCollection, RepairStats, error) {
-	out, _, stats, err := RepairConfig(ctx, g, model, diffusion.SampleConfig{}, col, maxcover.NewIndex(g.N(), col, workers), delta, seed, workers)
-	return out, stats, err
-}
-
-// RepairConfig is Repair for collections sampled under a constrained
-// scenario (diffusion.ExtendCollectionConfig with the same cfg): weighted
-// roots, bounded horizon, or both. The affected-set argument carries over
-// unchanged — a horizon-capped reverse walk still only examines the
+// RepairConfig returns a collection bit-identical to what
+// diffusion.ExtendCollectionConfig would sample cold on g (the
+// post-mutation snapshot) with the same cfg, seed and count, re-deriving
+// only the sets delta could have affected (affectedSets). col is never
+// mutated. The model must be IC or LT; g.N() must equal delta.NAfter.
+// The zero cfg is the unconstrained sampler of
+// diffusion.ExtendCollection. Under a constrained scenario — weighted
+// roots, bounded horizon, or both — the affected-set argument carries
+// over unchanged: a horizon-capped reverse walk still only examines the
 // in-edge lists of nodes it visits, so a set without a touched head
-// replays identically — with one improvement: the RootSampler contract
-// requires root draws to be graph-independent, so under node growth only
-// uniform-root (cfg.Roots == nil) collections need the root-instability
-// check; weighted collections skip it entirely.
+// replays identically. The RootSampler contract requires root draws to
+// be graph-independent, so under node growth only uniform-root
+// (cfg.Roots == nil) collections need the root-instability check;
+// weighted collections skip it entirely.
 //
 // idx is the cover index of exactly col (maxcover.NewIndex over col, on
 // any node count up to g.N()); its posting lists locate the sets holding
@@ -211,26 +203,18 @@ func RepairConfig(ctx context.Context, g *graph.Graph, model diffusion.Model, cf
 	return out, newIdx, stats, nil
 }
 
-// AffectedSets returns, ascending, the indices of the sets an exact
+// affectedSets returns, ascending, the indices of the sets an exact
 // repair must re-derive for delta — sets containing a touched head, plus
 // sets whose root draw destabilizes under node growth — together with
-// the count of the latter. idx is the cover index of the collection: the
-// sets containing a head are its posting list. This is THE affected-set
-// criterion: Repair re-derives exactly these indices, DeltaImpact's exact
-// bound counts them, and tools patching per-set side state
-// (cmd/evolvereplay's trace arena) must use the same list. It assumes
-// uniform root sampling; weighted-root collections (RepairConfig with a
-// RootSampler) have no root instability at all, because the sampler
-// contract pins root draws to the fixed weight profile, never to the
-// node count.
-func AffectedSets(idx *maxcover.Index, delta Delta, seed uint64) (indices []int32, rootChanged int64) {
-	return affectedSets(idx, delta, seed, true)
-}
-
-// affectedSets implements AffectedSets; uniformRoots selects whether the
-// root-instability replay under node growth applies. The head half is
-// the union of the touched heads' posting lists; a head at or beyond
-// idx.N() is a node the indexed sets predate, so it is in none of them.
+// the count of the latter. This is THE affected-set criterion:
+// RepairConfig re-derives exactly these indices. idx is the cover index
+// of the collection: the sets containing a head are the union of the
+// heads' posting lists, and a head at or beyond idx.N() is a node the
+// indexed sets predate, so it is in none of them. uniformRoots selects
+// whether the root-instability replay applies; weighted-root
+// collections (a RootSampler) have no root instability at all, because
+// the sampler contract pins root draws to the fixed weight profile,
+// never to the node count.
 func affectedSets(idx *maxcover.Index, delta Delta, seed uint64, uniformRoots bool) (indices []int32, rootChanged int64) {
 	count := idx.Sets()
 	var affected []bool
@@ -280,87 +264,4 @@ func rootUnstableSets(count, nBefore, nAfter int, seed uint64) []bool {
 		}
 	}
 	return unstable
-}
-
-// Impact classifies a collection's exposure to one mutation batch. It
-// contrasts the exact-repair bound (what Repair re-derives to stay
-// bit-identical to a cold sample) with the provenance-tight bound a
-// maintainer with per-edge keyed randomness could achieve: sets whose
-// recorded trace actually used a deleted or reweighted edge, or that
-// contain an inserted edge's head. The difference — AlignmentOnly — is
-// the price of sequential stream consumption: sets re-derived not because
-// their membership is at risk but because a changed in-list shifts every
-// draw after it.
-type Impact struct {
-	Sets int
-	// Affected is the exact-repair bound: sets containing any touched
-	// head, plus root-unstable sets under node growth.
-	Affected int
-	// MembershipRisk is the provenance-tight bound (requires traces).
-	MembershipRisk int
-	// AlignmentOnly = Affected − MembershipRisk.
-	AlignmentOnly int
-}
-
-// DeltaImpact computes the Impact of batch b on a collection sampled at
-// node count nBefore (growing to nAfter), using recorded provenance.
-// traces must parallel col set for set (diffusion.SampleTraced). seed is
-// the collection's sampling seed, used to replay root draws under node
-// growth. The exact bound indexes col for this call (AffectedSets).
-func DeltaImpact(col *diffusion.RRCollection, traces *diffusion.TraceCollection, b Batch, nBefore, nAfter int, seed uint64) Impact {
-	count := col.Count()
-	imp := Impact{Sets: count}
-	if traces.Count() != count {
-		panic(fmt.Sprintf("evolve: %d traces for %d sets", traces.Count(), count))
-	}
-
-	headSet := make(map[uint32]struct{})
-	insertHead := make(map[uint32]bool)
-	for _, k := range b.Deletes {
-		headSet[k.To] = struct{}{}
-	}
-	for _, e := range b.Reweights {
-		headSet[e.To] = struct{}{}
-	}
-	for _, e := range b.Inserts {
-		headSet[e.To] = struct{}{}
-		insertHead[e.To] = true
-	}
-	risky := make(map[EdgeKey]bool)
-	for _, k := range b.Deletes {
-		risky[k] = true
-	}
-	for _, e := range b.Reweights {
-		risky[EdgeKey{e.From, e.To}] = true
-	}
-
-	idx := maxcover.NewIndex(nAfter, col, 1)
-	exact, _ := AffectedSets(idx, Delta{NBefore: nBefore, NAfter: nAfter, Heads: sortedHeads(headSet)}, seed)
-	imp.Affected = len(exact)
-
-	rootUnstable := rootUnstableSets(count, nBefore, nAfter, seed)
-	for i := 0; i < count; i++ {
-		risk := rootUnstable != nil && rootUnstable[i]
-		if !risk {
-			for _, v := range col.Set(i) {
-				if insertHead[v] {
-					risk = true
-					break
-				}
-			}
-		}
-		if !risk {
-			for _, e := range traces.Set(i) {
-				if risky[EdgeKey{e.From, e.To}] {
-					risk = true
-					break
-				}
-			}
-		}
-		if risk {
-			imp.MembershipRisk++
-		}
-	}
-	imp.AlignmentOnly = imp.Affected - imp.MembershipRisk
-	return imp
 }

@@ -111,31 +111,3 @@ func TestRepairConfigMatchesColdSample(t *testing.T) {
 		})
 	}
 }
-
-// TestRepairConfigDefaultMatchesRepair: RepairConfig with a zero config
-// is Repair, bit for bit.
-func TestRepairConfigDefaultMatchesRepair(t *testing.T) {
-	r := rng.New(3)
-	g := gen.ErdosRenyiGnm(120, 600, r)
-	graph.AssignWeightedCascade(g)
-	eg := New(g, WeightedCascade{}, Options{})
-	snap, _ := eg.Snapshot()
-	col := sampleCold(t, snap, diffusion.NewIC(), 400)
-	if _, err := eg.Apply(randomBatch(r, eg, true)); err != nil {
-		t.Fatal(err)
-	}
-	delta, ok := eg.DeltaSince(0)
-	if !ok {
-		t.Fatal("delta unavailable")
-	}
-	snap, _ = eg.Snapshot()
-	a, _, err := Repair(context.Background(), snap, diffusion.NewIC(), col, delta, repairSeed, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, _, err := RepairConfig(context.Background(), snap, diffusion.NewIC(), diffusion.SampleConfig{}, col, maxcover.NewIndex(snap.N(), col, 2), delta, repairSeed, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareCollections(t, "zero-config", b, a)
-}

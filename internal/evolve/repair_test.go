@@ -110,7 +110,7 @@ func TestAffectedSetsMatchMemberScan(t *testing.T) {
 			}
 			want := scanAffected(col, delta)
 			for _, workers := range []int{1, 3} {
-				got, rootChanged := AffectedSets(maxcover.NewIndex(snap.N(), col, workers), delta, repairSeed)
+				got, rootChanged := affectedSets(maxcover.NewIndex(snap.N(), col, workers), delta, repairSeed, true)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("grow=%v step %d workers=%d: index gives %d sets %v, member scan %d sets %v",
 						grow, step, workers, len(got), got, len(want), want)
@@ -169,6 +169,9 @@ func randomBatch(r *rng.Rand, eg *Graph, growNodes bool) Batch {
 // repaired collection is bit-identical — members, order, offsets — to a
 // collection sampled cold on the mutated snapshot, and the
 // repaired-set counter matches the independently computed affected bound.
+// The cover index RepairConfig returns is carried into the next batch, as
+// the rr-store does, and must equal the index of the cold sample at every
+// step — so patches chain, through node growth on uniform roots too.
 // Run with -race in CI.
 func TestRepairMatchesColdSample(t *testing.T) {
 	cases := []struct {
@@ -207,6 +210,7 @@ func TestRepairMatchesColdSample(t *testing.T) {
 			eg := New(g, tc.policy, Options{})
 			snap, _ := eg.Snapshot()
 			col := sampleCold(t, snap, tc.model, theta)
+			idx := maxcover.NewIndex(snap.N(), col, 3)
 
 			prev := eg.Version()
 			batches := 10
@@ -226,7 +230,7 @@ func TestRepairMatchesColdSample(t *testing.T) {
 				snap, _ = eg.Snapshot()
 
 				bound := affectedBound(col, delta)
-				newCol, stats, err := Repair(context.Background(), snap, tc.model, col, delta, repairSeed, 3)
+				newCol, newIdx, stats, err := RepairConfig(context.Background(), snap, tc.model, diffusion.SampleConfig{}, col, idx, delta, repairSeed, 3)
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
@@ -236,8 +240,12 @@ func TestRepairMatchesColdSample(t *testing.T) {
 				if stats.Repaired+stats.Reused != stats.Sets || stats.Sets != theta {
 					t.Fatalf("step %d: inconsistent stats %+v", step, stats)
 				}
-				col = newCol
-				compareCollections(t, tc.name, col, sampleCold(t, snap, tc.model, theta))
+				col, idx = newCol, newIdx
+				cold := sampleCold(t, snap, tc.model, theta)
+				compareCollections(t, tc.name, col, cold)
+				if !reflect.DeepEqual(idx, maxcover.NewIndex(snap.N(), cold, 3)) {
+					t.Fatalf("step %d: carried index differs from the index of a cold sample", step)
+				}
 			}
 		})
 	}
@@ -257,12 +265,12 @@ func TestRepairWorkerIndependence(t *testing.T) {
 	}
 	delta, _ := eg.DeltaSince(0)
 	snap, _ = eg.Snapshot()
-	ref, _, err := Repair(context.Background(), snap, diffusion.NewIC(), col, delta, repairSeed, 1)
+	ref, _, _, err := RepairConfig(context.Background(), snap, diffusion.NewIC(), diffusion.SampleConfig{}, col, maxcover.NewIndex(snap.N(), col, 1), delta, repairSeed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5, 16} {
-		got, _, err := Repair(context.Background(), snap, diffusion.NewIC(), col, delta, repairSeed, workers)
+		got, _, _, err := RepairConfig(context.Background(), snap, diffusion.NewIC(), diffusion.SampleConfig{}, col, maxcover.NewIndex(snap.N(), col, workers), delta, repairSeed, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,10 +285,10 @@ func TestRepairRejects(t *testing.T) {
 	delta := Delta{NBefore: 50, NAfter: 50}
 
 	trig := diffusion.NewTriggering(diffusion.ICTrigger{})
-	if _, _, err := Repair(context.Background(), g, trig, col, delta, repairSeed, 1); !errors.Is(err, ErrUnsupportedModel) {
+	if _, _, _, err := RepairConfig(context.Background(), g, trig, diffusion.SampleConfig{}, col, maxcover.NewIndex(g.N(), col, 1), delta, repairSeed, 1); !errors.Is(err, ErrUnsupportedModel) {
 		t.Fatalf("triggering model: %v", err)
 	}
-	if _, _, err := Repair(context.Background(), g, diffusion.NewIC(), col, Delta{NBefore: 50, NAfter: 51}, repairSeed, 1); err == nil {
+	if _, _, _, err := RepairConfig(context.Background(), g, diffusion.NewIC(), diffusion.SampleConfig{}, col, maxcover.NewIndex(g.N(), col, 1), Delta{NBefore: 50, NAfter: 51}, repairSeed, 1); err == nil {
 		t.Fatal("snapshot/delta shape mismatch accepted")
 	}
 }
@@ -300,76 +308,7 @@ func TestRepairCancellation(t *testing.T) {
 	snap, _ = eg.Snapshot()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := Repair(ctx, snap, diffusion.NewIC(), col, delta, repairSeed, 2); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := RepairConfig(ctx, snap, diffusion.NewIC(), diffusion.SampleConfig{}, col, maxcover.NewIndex(snap.N(), col, 2), delta, repairSeed, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled repair: %v", err)
-	}
-}
-
-// TestDeltaImpact: the provenance-tight bound never exceeds the exact
-// bound, and for pure deletions it only counts sets whose recorded trace
-// used a deleted edge.
-func TestDeltaImpact(t *testing.T) {
-	r := rng.New(8)
-	g := gen.ErdosRenyiGnm(120, 600, r)
-	graph.AssignWeightedCascade(g)
-	model := diffusion.NewIC()
-
-	// Build a traced collection with the reuse layer's keyed streams.
-	const count = 500
-	col := &diffusion.RRCollection{Off: []int64{0}}
-	traces := &diffusion.TraceCollection{Off: []int64{0}}
-	sampler := diffusion.NewRRSampler(g, model)
-	base := rng.New(repairSeed)
-	var stream rng.Rand
-	var buf []uint32
-	var tbuf []diffusion.TraceEdge
-	for i := 0; i < count; i++ {
-		base.SplitInto(uint64(i), &stream)
-		buf, tbuf = sampler.SampleTraced(&stream, buf[:0], tbuf[:0])
-		col.Append(buf)
-		traces.Append(tbuf)
-	}
-
-	// A pure-deletion batch over a few live edges.
-	edges := g.Edges()
-	b := Batch{}
-	for i := 0; i < 5; i++ {
-		v := edges[r.Intn(len(edges))]
-		b.Deletes = append(b.Deletes, EdgeKey{v.From, v.To})
-	}
-	imp := DeltaImpact(col, traces, b, g.N(), g.N(), repairSeed)
-	if imp.Sets != count {
-		t.Fatalf("sets = %d", imp.Sets)
-	}
-	if imp.MembershipRisk > imp.Affected {
-		t.Fatalf("tight bound %d exceeds exact bound %d", imp.MembershipRisk, imp.Affected)
-	}
-	if imp.AlignmentOnly != imp.Affected-imp.MembershipRisk {
-		t.Fatalf("inconsistent impact %+v", imp)
-	}
-
-	// Recompute the trace criterion directly.
-	del := make(map[EdgeKey]bool)
-	for _, k := range b.Deletes {
-		del[k] = true
-	}
-	wantRisk := 0
-	for i := 0; i < count; i++ {
-		for _, e := range traces.Set(i) {
-			if del[EdgeKey{e.From, e.To}] {
-				wantRisk++
-				break
-			}
-		}
-	}
-	if imp.MembershipRisk != wantRisk {
-		t.Fatalf("membership risk %d, want %d", imp.MembershipRisk, wantRisk)
-	}
-
-	// Inserts count containment of the head, same as the exact bound.
-	ins := Batch{Inserts: []graph.Edge{{From: 3, To: 9, Weight: 0.5}}}
-	impIns := DeltaImpact(col, traces, ins, g.N(), g.N(), repairSeed)
-	if impIns.MembershipRisk != impIns.Affected {
-		t.Fatalf("insert-only impact should have no alignment slack: %+v", impIns)
 	}
 }

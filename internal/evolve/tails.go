@@ -13,7 +13,7 @@ import (
 // snapshot and in the new one. An edge insert contributes its tail via
 // the new snapshot, a delete via the old, a reweigh via both.
 //
-// This is the forward-score counterpart of AffectedSets: any per-node
+// This is the forward-score counterpart of affectedSets: any per-node
 // statistic computed from a node's out-edges (the tiered fast scorer's
 // hop/degree scores, out-degree summaries, and the like) is stale after
 // the delta exactly at these tails — plus, for two-hop statistics, at

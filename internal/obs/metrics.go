@@ -109,8 +109,8 @@ func (g *Gauge) Int() int64 { return int64(g.Value()) }
 // LatencyBuckets are the fixed histogram bounds (milliseconds) used for
 // request, tier, and phase latencies: roughly logarithmic from 50µs to
 // 10s, covering the fast tier's microseconds and a worst-case RIS query
-// alike. Fixed buckets (instead of only the rings' windowed quantiles)
-// make latencies aggregable across scrapes and across servers.
+// alike. Fixed buckets make latencies aggregable across scrapes and
+// across servers.
 var LatencyBuckets = []float64{
 	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000,
 }
@@ -175,6 +175,21 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	snap.Count = cum
 	snap.Sum = h.sum.load()
 	return snap
+}
+
+// Quantile estimates the q-quantile (0 <= q <= 1) as the upper bound of
+// the bucket holding the observation of rank ⌈q·Count⌉ (at least 1), so
+// it overstates the true quantile by at most that bucket's width. It
+// returns 0 for an empty histogram. A rank in the +Inf bucket reads as
+// the largest finite bound: the estimate stays encodable as JSON, and
+// what it hides is only that some observations exceeded every bound.
+func (s HistogramSnapshot) Quantile(q float64) float64 {
+	if s.Count == 0 {
+		return 0
+	}
+	rank := max(int64(math.Ceil(q*float64(s.Count))), 1)
+	i := sort.Search(len(s.Bounds), func(i int) bool { return s.Cumulative[i] >= rank })
+	return s.Bounds[min(i, len(s.Bounds)-1)]
 }
 
 // Count is the total number of observations.

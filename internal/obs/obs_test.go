@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -265,6 +266,39 @@ func TestHistogram(t *testing.T) {
 	}
 	if NewHistogram(nil).bounds[0] != LatencyBuckets[0] {
 		t.Fatal("nil bounds should select LatencyBuckets")
+	}
+}
+
+func TestHistogramQuantile(t *testing.T) {
+	h := NewHistogram([]float64{10, 50, 90, 100})
+	if q := h.Snapshot().Quantile(0.5); q != 0 {
+		t.Fatalf("empty p50 = %v, want 0", q)
+	}
+	for i := 1; i <= 100; i++ {
+		h.Observe(float64(i))
+	}
+	snap := h.Snapshot()
+	if snap.Count != 100 {
+		t.Fatalf("count = %d", snap.Count)
+	}
+	// Ranks 50 and 99 land in the buckets bounded by 50 and 100; rank 1
+	// in the first.
+	p50, p99 := snap.Quantile(0.50), snap.Quantile(0.99)
+	if p50 != 50 || p99 != 100 || snap.Quantile(0) != 10 {
+		t.Fatalf("p0=%v p50=%v p99=%v", snap.Quantile(0), p50, p99)
+	}
+	if p50 > p99 {
+		t.Fatalf("p50 %v > p99 %v", p50, p99)
+	}
+	// Observations past every bound read as the largest finite bound,
+	// never +Inf (which encoding/json refuses).
+	h.Observe(1e9)
+	h.Observe(1e9)
+	if q := h.Snapshot().Quantile(1); q != 100 {
+		t.Fatalf("+Inf-bucket quantile = %v, want the largest bound 100", q)
+	}
+	if _, err := json.Marshal(h.Snapshot().Quantile(1)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -235,7 +235,8 @@ func profileHash(c *Compiled, weights []float64) uint64 {
 // weightedRoots draws RR-set roots ∝ a fixed weight profile via Walker's
 // alias table. It is a pure function of the profile — never of the graph —
 // which is the diffusion.RootSampler stability contract that lets
-// evolve.Repair skip the root-instability check for weighted collections.
+// evolve.RepairConfig skip the root-instability check for weighted
+// collections.
 type weightedRoots struct {
 	table *gen.AliasTable
 }

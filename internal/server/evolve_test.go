@@ -212,6 +212,8 @@ func TestUpdateValidation(t *testing.T) {
 		{"insert out of range", UpdateRequest{Dataset: "known", Insert: []UpdateEdge{{From: 0, To: 999}}}, http.StatusBadRequest},
 		{"add_nodes overflowing int", UpdateRequest{Dataset: "known", AddNodes: math.MaxInt64}, http.StatusBadRequest},
 		{"add_nodes past the uint32 id space", UpdateRequest{Dataset: "known", AddNodes: 1 << 32}, http.StatusBadRequest},
+		{"add_nodes more than doubling n", UpdateRequest{Dataset: "known", AddNodes: 61}, http.StatusBadRequest},
+		{"add_nodes filling the uint32 id space", UpdateRequest{Dataset: "known", AddNodes: 1<<32 - 60}, http.StatusBadRequest},
 		{"mixed valid+invalid", UpdateRequest{
 			Dataset: "known",
 			Insert:  []UpdateEdge{{From: 0, To: 5}},

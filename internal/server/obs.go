@@ -37,11 +37,9 @@ type obsState struct {
 	endpoints map[string]*endpointInstruments
 
 	// phaseHist aggregates span durations of finished traces into
-	// fixed-bucket histograms (one series per span name); tierHist does
-	// the same for whole answers by serving tier. tierHist is fed on every
-	// answer; phaseHist only when the request was traced.
+	// fixed-bucket histograms (one series per span name), fed only when
+	// the request was traced; the tier histograms live in tieredRuntime.
 	phaseHist *obs.HistogramVec
-	tierHist  *obs.HistogramVec
 
 	// Batch-concurrency counters (moved here from raw atomics so /metrics
 	// and /v1/stats read one source of truth).
@@ -140,7 +138,6 @@ func newObsState(ringCap int, accessLog *slog.Logger, idSeed uint64, sloObjectiv
 	}
 
 	o.phaseHist = reg.HistogramVec("timserver_phase_duration_ms", "Traced span duration in milliseconds, by phase (span name). Only traced requests feed this.", nil, "phase")
-	o.tierHist = reg.HistogramVec("timserver_tier_latency_ms", "Answer latency in milliseconds, by serving tier.", nil, "tier")
 
 	o.panics = reg.Counter("timserver_panics_total", "Handler panics contained by the recovery middleware (each answered with a 500 instead of killing the process).")
 

@@ -36,11 +36,12 @@ import (
 //
 // Collections are also version-aware: each entry remembers the graph
 // version it was sampled at, and when a query arrives on a newer
-// snapshot the entry is repaired in place (evolve.Repair re-derives only
-// the sets the delta could have touched, bit-identical to a cold sample
-// on the new snapshot) instead of being dropped. Only when the delta log
-// no longer reaches back to the entry's version — or the model is not
-// incrementally maintainable — does the entry reset cold.
+// snapshot the entry is repaired in place (evolve.RepairConfig
+// re-derives only the sets the delta could have touched, bit-identical
+// to a cold sample on the new snapshot) instead of being dropped. Only
+// when the delta log no longer reaches back to the entry's version — or
+// the model is not incrementally maintainable — does the entry reset
+// cold.
 //
 // ε is part of the key not for statistical validity (any i.i.d. RR sets
 // serve any ε) but to keep the per-key growth pattern matched to one θ

@@ -20,7 +20,7 @@ import (
 // tieredRuntime glues the latency-tiered subsystem (internal/tiered) into
 // the server: the admission gate, the tier planner with its per-dataset
 // cost models, the per-(dataset, model) fast-tier scorers, and the
-// per-tier latency rings for /v1/stats.
+// per-tier answer latency histograms behind /metrics and /v1/stats.
 type tieredRuntime struct {
 	gate    *tiered.Gate
 	planner *tiered.Planner
@@ -28,8 +28,11 @@ type tieredRuntime struct {
 	mu      sync.Mutex
 	scorers map[string]*scorerEntry
 
-	risRing  tiered.LatencyRing
-	fastRing tiered.LatencyRing
+	// risLatency and fastLatency are the "ris" and "fast" series of
+	// timserver_tier_latency_ms: what the client waited for each answer,
+	// by serving tier.
+	risLatency  *obs.Histogram
+	fastLatency *obs.Histogram
 
 	// escalations counts budgeted queries the planner routed to RIS (at
 	// the requested ε or a coarser ladder rung). shedInfeasible counts
@@ -57,10 +60,14 @@ type scorerEntry struct {
 }
 
 func newTieredRuntime(maxInFlight int, ladder []float64, reg *obs.Registry) *tieredRuntime {
+	latency := reg.HistogramVec("timserver_tier_latency_ms", "Answer latency in milliseconds, by serving tier.", nil, "tier")
 	return &tieredRuntime{
 		gate:    tiered.NewGate(maxInFlight),
 		planner: tiered.NewPlanner(ladder),
 		scorers: make(map[string]*scorerEntry),
+
+		risLatency:  latency.With("ris"),
+		fastLatency: latency.With("fast"),
 
 		escalations:       reg.Counter("timserver_escalated_total", "Budgeted queries the planner routed to the RIS tier."),
 		shedInfeasible:    reg.Counter("timserver_shed_infeasible_total", "Admitted queries shed because no tier fit their budget and confidence floor."),
@@ -271,9 +278,7 @@ func (s *Server) answer(base context.Context, req MaximizeRequest) (MaximizeResp
 		start := time.Now()
 		resp, hit, err := s.doMaximize(ctx, req)
 		if err == nil {
-			ms := msSince(start)
-			s.tiered.risRing.Observe(ms)
-			s.obs.tierHist.With("ris").Observe(ms)
+			s.tiered.risLatency.Observe(msSince(start))
 		}
 		return resp, hit, err
 	}
@@ -357,9 +362,7 @@ func (s *Server) answer(base context.Context, req MaximizeRequest) (MaximizeResp
 	start := time.Now()
 	resp, hit, err := s.doMaximize(budgetCtx, risReq)
 	if err == nil {
-		ms := msSince(start)
-		s.tiered.risRing.Observe(ms)
-		s.obs.tierHist.With("ris").Observe(ms)
+		s.tiered.risLatency.Observe(msSince(start))
 		return resp, hit, nil
 	}
 	if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil && fastOK && req.MinConfidence <= 0 {
@@ -376,18 +379,17 @@ func (s *Server) answer(base context.Context, req MaximizeRequest) (MaximizeResp
 }
 
 // serveFast answers req from the fast tier and feeds the latency
-// observations. The ring and the tier histogram record what the client
-// waited, scorer build included; the planner's cost model gets the
-// selection time only — seeding it with a one-off build would make it
-// shed every later budgeted query the warm scorer answers in time.
+// observations. The tier histogram records what the client waited,
+// scorer build included; the planner's cost model gets the selection
+// time only — seeding it with a one-off build would make it shed every
+// later budgeted query the warm scorer answers in time.
 func (s *Server) serveFast(ctx context.Context, req MaximizeRequest, costKey string, evg *evolve.Graph) (MaximizeResponse, bool, error) {
 	span := obs.StartSpan(ctx, "fast.select").Attr("k", int64(req.K))
 	start := time.Now()
 	seeds, est, version, selectMs := s.tiered.fastSelect(costKey, evg, req.K, req.Force, req.Exclude)
 	ms := msSince(start)
 	span.End()
-	s.tiered.fastRing.Observe(ms)
-	s.obs.tierHist.With("fast").Observe(ms)
+	s.tiered.fastLatency.Observe(ms)
 	s.tiered.planner.ObserveFast(costKey, selectMs)
 	return MaximizeResponse{
 		Seeds:          seeds,
@@ -403,10 +405,8 @@ func (s *Server) serveFast(ctx context.Context, req MaximizeRequest, costKey str
 type tieredStats struct {
 	Gate      tiered.GateStats `json:"gate"`
 	EpsLadder []float64        `json:"eps_ladder"`
-	// RIS and Fast summarize per-tier latency: lifetime count/max, sliding
-	// window p50/p99.
-	RIS  tiered.LatencySnapshot `json:"ris"`
-	Fast tiered.LatencySnapshot `json:"fast"`
+	RIS       tierLatency      `json:"ris"`
+	Fast      tierLatency      `json:"fast"`
 	// Escalated counts budgeted queries routed to RIS; ShedInfeasible
 	// admitted-but-unservable sheds (the gate's own Shed counter covers
 	// at-capacity rejections); DeadlineFallbacks budget misses answered
@@ -421,12 +421,26 @@ type tieredStats struct {
 	ScorerNodesRescored int64 `json:"scorer_nodes_rescored"`
 }
 
+// tierLatency is one tier's answer count and latency quantiles over the
+// process lifetime, read from its tier histogram: each quantile is the
+// upper bound of the bucket holding it (obs.HistogramSnapshot.Quantile).
+type tierLatency struct {
+	Served int64   `json:"served"`
+	P50Ms  float64 `json:"p50_ms"`
+	P99Ms  float64 `json:"p99_ms"`
+}
+
+func tierLatencyOf(h *obs.Histogram) tierLatency {
+	snap := h.Snapshot()
+	return tierLatency{Served: snap.Count, P50Ms: snap.Quantile(0.50), P99Ms: snap.Quantile(0.99)}
+}
+
 func (t *tieredRuntime) stats() tieredStats {
 	return tieredStats{
 		Gate:                t.gate.Stats(),
 		EpsLadder:           t.planner.Ladder(),
-		RIS:                 t.risRing.Snapshot(),
-		Fast:                t.fastRing.Snapshot(),
+		RIS:                 tierLatencyOf(t.risLatency),
+		Fast:                tierLatencyOf(t.fastLatency),
 		Escalated:           t.escalations.Int(),
 		ShedInfeasible:      t.shedInfeasible.Int(),
 		DeadlineFallbacks:   t.deadlineFallbacks.Int(),

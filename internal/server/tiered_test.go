@@ -80,8 +80,8 @@ func TestSLOColdBudgetServedFast(t *testing.T) {
 		t.Fatalf("fast tier took %.1fms against a 5ms budget", resp.ElapsedMs)
 	}
 	st := srv.tiered.stats()
-	if st.Fast.Count != 1 {
-		t.Fatalf("fast served = %d, want 1", st.Fast.Count)
+	if st.Fast.Served != 1 {
+		t.Fatalf("fast served = %d, want 1", st.Fast.Served)
 	}
 }
 

@@ -105,23 +105,3 @@ func TestPredictRISCold(t *testing.T) {
 		t.Fatalf("cold prediction = %v, want +Inf", pred)
 	}
 }
-
-func TestLatencyRing(t *testing.T) {
-	var r LatencyRing
-	if snap := r.Snapshot(); snap.Count != 0 || snap.P50Ms != 0 {
-		t.Fatalf("empty snapshot = %+v", snap)
-	}
-	for i := 1; i <= 100; i++ {
-		r.Observe(float64(i))
-	}
-	snap := r.Snapshot()
-	if snap.Count != 100 || snap.MaxMs != 100 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if snap.P50Ms < 45 || snap.P50Ms > 55 {
-		t.Fatalf("p50 = %v", snap.P50Ms)
-	}
-	if snap.P99Ms < 95 || snap.P99Ms > 100 {
-		t.Fatalf("p99 = %v", snap.P99Ms)
-	}
-}

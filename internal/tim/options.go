@@ -156,7 +156,7 @@ type Options struct {
 // sampled on a different topology than g would silently bias the
 // coverage estimate. The evolving-graph reuse layer meets the contract
 // by repairing its cached collection to the query's snapshot version
-// (evolve.Repair) before extending it to θ.
+// (evolve.RepairConfig) before extending it to θ.
 type CollectionSource interface {
 	NodeSelectionSets(ctx context.Context, g *graph.Graph, model diffusion.Model, theta int64, workers int) (*diffusion.RRCollection, *maxcover.Index, error)
 }
